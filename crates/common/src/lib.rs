@@ -5,6 +5,8 @@
 //! crates needs:
 //!
 //! * [`key`] — the key/value types used throughout the workspace,
+//! * [`crc`] — the sliced CRC-32 kernel that checksums every wire frame,
+//!   WAL record, checkpoint and manifest,
 //! * [`linear`] — ordinary-least-squares linear models mapping keys to ranks,
 //! * [`pla`] — optimal ε-bounded piecewise linear approximation (used by the
 //!   PGM baseline and by SALI's hot sub-tree flattening),
@@ -27,6 +29,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod crc;
 pub mod fenwick;
 pub mod key;
 pub mod latency;

@@ -15,8 +15,8 @@
 //!     | mean_level f64-bits u64 | num_records u64 | (key u64, value u64)*
 //! ```
 
-use crate::crc::crc32;
 use crate::store::DurabilityError;
+use csv_common::crc::crc32;
 use csv_common::{Key, KeyValue, Value};
 use csv_concurrent::StaleSeed;
 use std::fs::File;

@@ -19,7 +19,6 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
-pub mod crc;
 pub mod fault;
 pub mod manifest;
 pub mod store;

@@ -15,8 +15,8 @@
 //! ```
 
 use crate::checkpoint::sync_parent_dir;
-use crate::crc::crc32;
 use crate::store::DurabilityError;
+use csv_common::crc::crc32;
 use csv_common::Key;
 use std::fs::File;
 use std::io::{self, Write};

@@ -24,8 +24,8 @@
 //! replay is idempotent, which is what makes "checkpoint then truncate the
 //! log" crash-safe without a distributed transaction between the two files.
 
-use crate::crc::crc32;
 use crate::fault::{Fault, FaultFile};
+use csv_common::crc::crc32;
 use csv_common::{Key, Value};
 use csv_concurrent::WriteRecord;
 use std::io::{self, Write};
@@ -33,6 +33,8 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"CSVWAL01";
 const HEADER_LEN: usize = 8 + 8 + 4;
+/// Bytes of a record's `len u32 | crc32 u32` prefix.
+const RECORD_PREFIX: usize = 4 + 4;
 /// Body length of a tombstone record (`seq + op + key`).
 const TOMBSTONE_BODY: usize = 8 + 1 + 8;
 /// Body length of an upsert record (`seq + op + key + value`).
@@ -112,6 +114,10 @@ impl WalReplay {
 pub struct WalWriter {
     file: FaultFile,
     seq: u64,
+    /// The record being built, reused across appends: an 8-byte
+    /// `len | crc` hole, then the body, checksummed and backpatched in
+    /// place by [`WalWriter::write_record`].
+    record: Vec<u8>,
 }
 
 impl WalWriter {
@@ -128,7 +134,23 @@ impl WalWriter {
         Ok(Self {
             file,
             seq: start_seq,
+            record: Vec::new(),
         })
+    }
+
+    /// Clears the record buffer down to its empty `len | crc` hole.
+    fn begin_record(&mut self) {
+        self.record.clear();
+        self.record.extend_from_slice(&[0; RECORD_PREFIX]);
+    }
+
+    /// Backpatches the body's length and checksum into the hole and hands
+    /// the finished record to the file as one `write`.
+    fn write_record(&mut self) -> io::Result<()> {
+        let (prefix, body) = self.record.split_at_mut(RECORD_PREFIX);
+        prefix[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        prefix[4..].copy_from_slice(&crc32(body).to_le_bytes());
+        self.file.write_all(&self.record)
     }
 
     /// The sequence number of the last appended record (or the starting
@@ -142,18 +164,10 @@ impl WalWriter {
     /// for power-loss durability.
     pub fn append(&mut self, key: Key, value: Option<Value>) -> io::Result<u64> {
         self.seq += 1;
-        let mut body = Vec::with_capacity(UPSERT_BODY);
-        body.extend_from_slice(&self.seq.to_le_bytes());
-        body.push(u8::from(value.is_some()));
-        body.extend_from_slice(&key.to_le_bytes());
-        if let Some(value) = value {
-            body.extend_from_slice(&value.to_le_bytes());
-        }
-        let mut frame = Vec::with_capacity(8 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        self.file.write_all(&frame)?;
+        self.begin_record();
+        self.record.extend_from_slice(&self.seq.to_le_bytes());
+        push_sub_record(&mut self.record, key, value);
+        self.write_record()?;
         Ok(self.seq)
     }
 
@@ -166,23 +180,15 @@ impl WalWriter {
         if records.is_empty() {
             return Ok(self.seq);
         }
-        let first = self.seq + 1;
-        let mut body = Vec::with_capacity(BATCH_PREFIX + records.len() * UPSERT_SUB);
-        body.extend_from_slice(&first.to_le_bytes());
-        body.push(BATCH_OP);
-        body.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        self.begin_record();
+        self.record.extend_from_slice(&(self.seq + 1).to_le_bytes());
+        self.record.push(BATCH_OP);
+        self.record
+            .extend_from_slice(&(records.len() as u32).to_le_bytes());
         for record in records {
-            body.push(u8::from(record.value.is_some()));
-            body.extend_from_slice(&record.key.to_le_bytes());
-            if let Some(value) = record.value {
-                body.extend_from_slice(&value.to_le_bytes());
-            }
+            push_sub_record(&mut self.record, record.key, record.value);
         }
-        let mut frame = Vec::with_capacity(8 + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        self.file.write_all(&frame)?;
+        self.write_record()?;
         self.seq += records.len() as u64;
         Ok(self.seq)
     }
@@ -190,6 +196,16 @@ impl WalWriter {
     /// Flushes the log to stable storage (`fsync`).
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync()
+    }
+}
+
+/// Appends `op u8 (0 tombstone, 1 upsert) | key | [value]` — a point
+/// record's body after its `seq`, and a batch frame's sub-record.
+fn push_sub_record(out: &mut Vec<u8>, key: Key, value: Option<Value>) {
+    out.push(u8::from(value.is_some()));
+    out.extend_from_slice(&key.to_le_bytes());
+    if let Some(value) = value {
+        out.extend_from_slice(&value.to_le_bytes());
     }
 }
 

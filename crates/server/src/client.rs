@@ -5,11 +5,14 @@
 //! it doubles as the reference implementation of the client side of the
 //! protocol.
 
-use crate::codec::{decode_response, encode_request, Decoded};
+use crate::codec::{
+    decode_response, encode_multi_get, encode_request, encode_write_batch, Decoded,
+};
 use crate::errors::ClientError;
+use crate::frame_buf::FrameBuf;
 use crate::protocol::{Request, Response, ServerStats, WriteOp};
 use csv_common::key::{Key, KeyValue, Value};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Result of a range scan: the records (ascending by key) plus whether
@@ -29,8 +32,8 @@ pub struct RangeScan {
 pub struct Client {
     stream: TcpStream,
     /// Bytes received but not yet decoded.
-    inbox: Vec<u8>,
-    /// Reused encode buffer.
+    inbox: FrameBuf,
+    /// Reused encode buffer: the request about to be sent.
     outbox: Vec<u8>,
 }
 
@@ -41,32 +44,35 @@ impl Client {
         stream.set_nodelay(true)?;
         Ok(Self {
             stream,
-            inbox: Vec::new(),
+            inbox: FrameBuf::default(),
             outbox: Vec::new(),
         })
     }
 
     /// Sends one request and blocks until its response arrives.
     pub fn request(&mut self, req: &Request) -> Result<Response, ClientError> {
+        self.send(|outbox| encode_request(req, outbox))
+    }
+
+    /// Sends the one request frame `encode` appends to the (cleared)
+    /// outbox and blocks until its response arrives.
+    fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<Response, ClientError> {
         self.outbox.clear();
-        encode_request(req, &mut self.outbox);
+        encode(&mut self.outbox);
         self.stream.write_all(&self.outbox)?;
-        let mut scratch = [0u8; 64 * 1024];
         loop {
-            match decode_response(&self.inbox)? {
+            match decode_response(self.inbox.pending())? {
                 Decoded::Frame { value, consumed } => {
-                    self.inbox.drain(..consumed);
+                    self.inbox.consume(consumed);
                     return match value {
                         Response::Error(msg) => Err(ClientError::Server(msg)),
                         other => Ok(other),
                     };
                 }
                 Decoded::Incomplete => {
-                    let n = self.stream.read(&mut scratch)?;
-                    if n == 0 {
+                    if self.inbox.fill(&mut self.stream)? == 0 {
                         return Err(ClientError::Disconnected);
                     }
-                    self.inbox.extend_from_slice(&scratch[..n]);
                 }
             }
         }
@@ -82,9 +88,7 @@ impl Client {
 
     /// Batched point lookup; results come back in request order.
     pub fn multi_get(&mut self, keys: &[Key]) -> Result<Vec<Option<Value>>, ClientError> {
-        match self.request(&Request::MultiGet {
-            keys: keys.to_vec(),
-        })? {
+        match self.send(|outbox| encode_multi_get(keys, outbox))? {
             Response::Values(v) => Ok(v),
             _ => Err(ClientError::Unexpected("Values")),
         }
@@ -118,7 +122,7 @@ impl Client {
 
     /// Applies writes in order; returns `(fresh_inserts, remove_hits)`.
     pub fn write_batch(&mut self, ops: &[WriteOp]) -> Result<(u32, u32), ClientError> {
-        match self.request(&Request::WriteBatch { ops: ops.to_vec() })? {
+        match self.send(|outbox| encode_write_batch(ops, outbox))? {
             Response::BatchApplied {
                 fresh_inserts,
                 hits,
@@ -154,13 +158,9 @@ impl Client {
     /// Reads until the server closes this connection, returning whatever
     /// bytes arrived first (e.g. the typed error response).
     pub fn read_until_closed(&mut self) -> Vec<u8> {
-        let mut scratch = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut scratch) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => self.inbox.extend_from_slice(&scratch[..n]),
-            }
-        }
-        std::mem::take(&mut self.inbox)
+        while matches!(self.inbox.fill(&mut self.stream), Ok(n) if n > 0) {}
+        let bytes = self.inbox.pending().to_vec();
+        self.inbox.consume(bytes.len());
+        bytes
     }
 }

@@ -1,10 +1,16 @@
 //! Byte-level framing: encode/decode requests and responses.
 //!
 //! Every frame is `[payload_len: u32 LE][crc32(payload): u32 LE][payload]`
-//! with `payload = [opcode: u8][fields, little-endian]`. The CRC is the
-//! same table-driven CRC-32 the durability crate guards its WAL records
-//! with, so a flipped bit anywhere in the payload is caught before the
-//! opcode is even looked at.
+//! with `payload = [opcode: u8][fields, little-endian]`. The CRC is
+//! [`csv_common::crc`]'s sliced CRC-32 — the kernel the durability crate
+//! guards its WAL records with — so a flipped bit anywhere in the payload is
+//! caught before the opcode is even looked at.
+//!
+//! Frames are built in place: an encoder reserves the 8-byte header at the
+//! end of the caller's buffer, appends the payload behind it, and `seal`
+//! backpatches length and checksum — the payload is written once and never
+//! moved. Fixed-stride arrays (`MultiGet` keys, `Records`) are bounds-checked
+//! once as a whole and then walked in exact chunks.
 //!
 //! Decoding is incremental: [`decode_request`]/[`decode_response`] take
 //! whatever bytes have arrived so far and either report
@@ -16,8 +22,8 @@
 
 use crate::errors::ProtocolError;
 use crate::protocol::{opcode, Request, Response, ServerStats, WriteOp, HEADER_LEN, MAX_FRAME_LEN};
+use csv_common::crc::crc32;
 use csv_common::key::{Key, KeyValue, Value};
-use csv_durability::crc::crc32;
 
 /// Outcome of feeding buffered bytes to a decoder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,20 +44,25 @@ pub enum Decoded<T> {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Wraps a finished payload in the `[len][crc]` header, in place: `buf`
-/// must contain exactly the payload starting at `start`.
-fn seal(buf: &mut Vec<u8>, start: usize) {
-    let payload_len = buf.len() - start;
+/// Starts a frame at the end of `buf`: reserves the header, to be filled
+/// in by [`seal`] once the payload stands behind it. Returns the frame's
+/// start.
+fn begin(buf: &mut Vec<u8>) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; HEADER_LEN]);
+    start
+}
+
+/// Backpatches the `[len][crc]` header of the frame [`begin`] started at
+/// `start`; everything behind the header is its payload.
+fn seal(buf: &mut [u8], start: usize) {
+    let (header, payload) = buf[start..].split_at_mut(HEADER_LEN);
     debug_assert!(
-        payload_len <= MAX_FRAME_LEN,
+        payload.len() <= MAX_FRAME_LEN,
         "encoder produced an oversized frame"
     );
-    let crc = crc32(&buf[start..]);
-    let mut header = [0u8; HEADER_LEN];
-    header[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    header[4..].copy_from_slice(&crc.to_le_bytes());
-    // Splice the header in front of the payload.
-    buf.splice(start..start, header);
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 fn put_u8(buf: &mut Vec<u8>, v: u8) {
@@ -76,21 +87,57 @@ fn put_opt_value(buf: &mut Vec<u8>, v: Option<Value>) {
     }
 }
 
+/// The payload of a [`Request::MultiGet`].
+fn put_multi_get(buf: &mut Vec<u8>, keys: &[Key]) {
+    put_u8(buf, opcode::MULTI_GET);
+    put_u32(buf, keys.len() as u32);
+    for &key in keys {
+        put_u64(buf, key);
+    }
+}
+
+/// The payload of a [`Request::WriteBatch`].
+fn put_write_batch(buf: &mut Vec<u8>, ops: &[WriteOp]) {
+    put_u8(buf, opcode::WRITE_BATCH);
+    put_u32(buf, ops.len() as u32);
+    for op in ops {
+        match *op {
+            WriteOp::Insert { key, value } => {
+                put_u8(buf, 0);
+                put_u64(buf, key);
+                put_u64(buf, value);
+            }
+            WriteOp::Remove { key } => {
+                put_u8(buf, 1);
+                put_u64(buf, key);
+            }
+        }
+    }
+}
+
+/// [`encode_request`] of a [`Request::MultiGet`], from a borrowed slice.
+pub(crate) fn encode_multi_get(keys: &[Key], buf: &mut Vec<u8>) {
+    let start = begin(buf);
+    put_multi_get(buf, keys);
+    seal(buf, start);
+}
+
+/// [`encode_request`] of a [`Request::WriteBatch`], from a borrowed slice.
+pub(crate) fn encode_write_batch(ops: &[WriteOp], buf: &mut Vec<u8>) {
+    let start = begin(buf);
+    put_write_batch(buf, ops);
+    seal(buf, start);
+}
+
 /// Appends one encoded request frame to `buf`.
 pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
-    let start = buf.len();
+    let start = begin(buf);
     match req {
         Request::Get { key } => {
             put_u8(buf, opcode::GET);
             put_u64(buf, *key);
         }
-        Request::MultiGet { keys } => {
-            put_u8(buf, opcode::MULTI_GET);
-            put_u32(buf, keys.len() as u32);
-            for &key in keys {
-                put_u64(buf, key);
-            }
-        }
+        Request::MultiGet { keys } => put_multi_get(buf, keys),
         Request::Range { lo, hi, limit } => {
             put_u8(buf, opcode::RANGE);
             put_u64(buf, *lo);
@@ -106,23 +153,7 @@ pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
             put_u8(buf, opcode::REMOVE);
             put_u64(buf, *key);
         }
-        Request::WriteBatch { ops } => {
-            put_u8(buf, opcode::WRITE_BATCH);
-            put_u32(buf, ops.len() as u32);
-            for op in ops {
-                match op {
-                    WriteOp::Insert { key, value } => {
-                        put_u8(buf, 0);
-                        put_u64(buf, *key);
-                        put_u64(buf, *value);
-                    }
-                    WriteOp::Remove { key } => {
-                        put_u8(buf, 1);
-                        put_u64(buf, *key);
-                    }
-                }
-            }
-        }
+        Request::WriteBatch { ops } => put_write_batch(buf, ops),
         Request::Stats => put_u8(buf, opcode::STATS),
         Request::Shutdown => put_u8(buf, opcode::SHUTDOWN),
     }
@@ -131,7 +162,7 @@ pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
 
 /// Appends one encoded response frame to `buf`.
 pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
-    let start = buf.len();
+    let start = begin(buf);
     match resp {
         Response::Value(v) => {
             put_u8(buf, opcode::R_VALUE);
@@ -145,7 +176,7 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
             }
         }
         Response::Records { records, truncated } => {
-            let mut stream = RecordStream::begin(buf);
+            let mut stream = RecordStream::behind_header(buf, start);
             for r in records {
                 if !stream.push(r.key, r.value) {
                     break;
@@ -154,8 +185,7 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
             if *truncated {
                 stream.mark_truncated();
             }
-            stream.finish();
-            return;
+            return stream.finish();
         }
         Response::Inserted(fresh) => {
             put_u8(buf, opcode::R_INSERTED);
@@ -187,16 +217,23 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
         Response::ShuttingDown => put_u8(buf, opcode::R_SHUTDOWN),
         Response::Error(msg) => {
             put_u8(buf, opcode::R_ERROR);
-            let bytes = msg.as_bytes();
             // An error message is advisory; truncate rather than overflow
-            // the frame limit.
-            let take = bytes.len().min(MAX_FRAME_LEN - 16);
+            // the frame limit — at a char boundary, or the peer's decoder
+            // would reject the whole frame as not UTF-8.
+            let mut take = msg.len().min(MAX_ERROR_MESSAGE_LEN);
+            while !msg.is_char_boundary(take) {
+                take -= 1;
+            }
             put_u32(buf, take as u32);
-            buf.extend_from_slice(&bytes[..take]);
+            buf.extend_from_slice(&msg.as_bytes()[..take]);
         }
     }
     seal(buf, start);
 }
+
+/// Longest error message (in bytes) a [`Response::Error`] frame carries;
+/// [`encode_response`] cuts a longer one at the last char boundary below it.
+const MAX_ERROR_MESSAGE_LEN: usize = MAX_FRAME_LEN - 16;
 
 /// Largest number of records a [`Response::Records`] frame can carry:
 /// `MAX_FRAME_LEN` minus the opcode, truncation flag and count, in 16-byte
@@ -212,7 +249,7 @@ pub const MAX_RECORDS_PER_FRAME: usize = (MAX_FRAME_LEN - 6) / 16;
 /// leaves a partial frame in the buffer — always finish it.
 pub struct RecordStream<'a> {
     buf: &'a mut Vec<u8>,
-    /// Frame start in `buf` (where the header gets spliced).
+    /// Frame start in `buf` (where the reserved header sits).
     start: usize,
     count: u32,
     truncated: bool,
@@ -221,7 +258,12 @@ pub struct RecordStream<'a> {
 impl<'a> RecordStream<'a> {
     /// Starts a records frame at the current end of `buf`.
     pub fn begin(buf: &'a mut Vec<u8>) -> Self {
-        let start = buf.len();
+        let start = begin(buf);
+        Self::behind_header(buf, start)
+    }
+
+    /// Starts the records payload of the frame [`begin`] started at `start`.
+    fn behind_header(buf: &'a mut Vec<u8>, start: usize) -> Self {
         put_u8(buf, opcode::R_RECORDS);
         put_u8(buf, 0); // truncation flag, backpatched by `finish`
         put_u32(buf, 0); // record count, backpatched by `finish`
@@ -237,7 +279,7 @@ impl<'a> RecordStream<'a> {
     /// — when the record would push the payload past [`MAX_FRAME_LEN`];
     /// the caller must stop pushing.
     pub fn push(&mut self, key: Key, value: Value) -> bool {
-        if self.buf.len() - self.start + 16 > MAX_FRAME_LEN {
+        if self.buf.len() - (self.start + HEADER_LEN) + 16 > MAX_FRAME_LEN {
             self.truncated = true;
             return false;
         }
@@ -266,8 +308,9 @@ impl<'a> RecordStream<'a> {
     /// Backpatches the truncation flag and record count, then seals the
     /// frame header.
     pub fn finish(self) {
-        self.buf[self.start + 1] = u8::from(self.truncated);
-        self.buf[self.start + 2..self.start + 6].copy_from_slice(&self.count.to_le_bytes());
+        let payload = self.start + HEADER_LEN;
+        self.buf[payload + 1] = u8::from(self.truncated);
+        self.buf[payload + 2..payload + 6].copy_from_slice(&self.count.to_le_bytes());
         seal(self.buf, self.start);
     }
 }
@@ -318,9 +361,19 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a `u32` element count and sanity-checks it against the bytes
-    /// actually left, so a hostile count cannot drive a huge
-    /// `Vec::with_capacity` before the per-element reads fail.
+    /// Reads a `u32` element count and the `count × STRIDE` bytes of a
+    /// fixed-stride array behind it: one bounds check for the whole array,
+    /// made before anything is allocated for it.
+    fn array<const STRIDE: usize>(&mut self) -> Result<&'a [[u8; STRIDE]], ProtocolError> {
+        let n = self.u32()? as usize;
+        let bytes = self.take(n.checked_mul(STRIDE).ok_or(ProtocolError::Truncated)?)?;
+        Ok(bytes.as_chunks().0)
+    }
+
+    /// Reads the `u32` element count of a variable-stride array and
+    /// sanity-checks it against the bytes actually left, so a hostile count
+    /// cannot drive a huge `Vec::with_capacity` before the per-element reads
+    /// fail.
     fn count(&mut self, min_elem_bytes: usize) -> Result<usize, ProtocolError> {
         let n = self.u32()? as usize;
         if n.saturating_mul(min_elem_bytes) > self.bytes.len() - self.pos {
@@ -379,14 +432,13 @@ pub fn decode_request(buf: &[u8]) -> Result<Decoded<Request>, ProtocolError> {
     let mut r = Reader::new(&payload[1..]);
     let value = match payload[0] {
         opcode::GET => Request::Get { key: r.u64()? },
-        opcode::MULTI_GET => {
-            let n = r.count(8)?;
-            let mut keys = Vec::with_capacity(n);
-            for _ in 0..n {
-                keys.push(r.u64()?);
-            }
-            Request::MultiGet { keys }
-        }
+        opcode::MULTI_GET => Request::MultiGet {
+            keys: r
+                .array::<8>()?
+                .iter()
+                .map(|key| Key::from_le_bytes(*key))
+                .collect(),
+        },
         opcode::RANGE => {
             let lo = r.u64()?;
             let hi = r.u64()?;
@@ -447,13 +499,17 @@ pub fn decode_response(buf: &[u8]) -> Result<Decoded<Response>, ProtocolError> {
                 1 => true,
                 _ => return Err(ProtocolError::Malformed("truncation flag must be 0 or 1")),
             };
-            let n = r.count(16)?;
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key: Key = r.u64()?;
-                let value: Value = r.u64()?;
-                records.push(KeyValue { key, value });
-            }
+            let records = r
+                .array::<16>()?
+                .iter()
+                .map(|record| {
+                    let (key, value) = record.split_at(8);
+                    KeyValue {
+                        key: Key::from_le_bytes(key.try_into().expect("8 of 16 bytes")),
+                        value: Value::from_le_bytes(value.try_into().expect("8 of 16 bytes")),
+                    }
+                })
+                .collect();
             Response::Records { records, truncated }
         }
         opcode::R_INSERTED => match r.u8()? {

@@ -31,6 +31,7 @@
 pub mod client;
 pub mod codec;
 pub mod errors;
+mod frame_buf;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;

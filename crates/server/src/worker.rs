@@ -4,17 +4,23 @@
 //! A worker multiplexes its connections without an event loop: every
 //! stream gets a short read timeout, and the worker sweeps its connection
 //! set round-robin — a read that times out costs one syscall and moves on,
-//! a read that returns bytes feeds the incremental decoder. Point reads go
-//! through the worker's pinned [`ReadView`] (zero atomics per lookup on
-//! the RCU path); the view is re-pinned after every write the worker
-//! performs and every `view_refresh` reads, bounding how far it can lag
-//! writes made on other workers. Hostile bytes never panic the worker: a
-//! typed [`ProtocolError`](crate::errors::ProtocolError) closes that one
+//! a read that returns bytes feeds the incremental decoder. Each connection
+//! reads into its own [`FrameBuf`]: the socket `read` lands in the buffer
+//! the decoder looks at, decoded frames are consumed by bumping a cursor,
+//! and responses are encoded in place (header reserved, then backpatched)
+//! into the connection's outbox — a request's bytes are copied by the
+//! kernel and by nobody else. Point reads go through the worker's pinned
+//! [`ReadView`] (zero atomics per lookup on the RCU path); the view is
+//! re-pinned after every write the worker performs and every
+//! `view_refresh` reads, bounding how far it can lag writes made on other
+//! workers. Hostile bytes never panic the worker: a typed
+//! [`ProtocolError`](crate::errors::ProtocolError) closes that one
 //! connection and every other connection keeps being served.
 //!
 //! [`ReadView`]: csv_concurrent::ReadView
 
 use crate::codec::{decode_request, encode_response, Decoded, RecordStream};
+use crate::frame_buf::FrameBuf;
 use crate::protocol::{Request, Response, ServerStats, WriteOp};
 use crate::server::Shared;
 use core::ops::ControlFlow;
@@ -22,7 +28,7 @@ use csv_common::key::{Key, Value};
 use csv_common::sync::Ordering;
 use csv_common::traits::{RangeIndex, RemovableIndex, SnapshotIndex};
 use csv_concurrent::{ReadPath, ReadView, ShardedIndex};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
@@ -50,7 +56,7 @@ pub(crate) struct WorkerReport {
 struct Conn {
     stream: TcpStream,
     /// Bytes received but not yet decoded into a full frame.
-    inbox: Vec<u8>,
+    inbox: FrameBuf,
     /// Encoded responses not yet flushed.
     outbox: Vec<u8>,
 }
@@ -193,9 +199,10 @@ where
     stop
 }
 
-/// Drains every full frame currently in `conn.inbox`, appending responses
-/// to `conn.outbox`. Returns `Err(())` when the connection must close
-/// (malformed bytes); `Ok(true)` when a `Shutdown` frame was served.
+/// Decodes and consumes every full frame currently in `conn.inbox`,
+/// appending responses to `conn.outbox`. Returns `Err(())` when the
+/// connection must close (malformed bytes); `Ok(true)` when a `Shutdown`
+/// frame was served.
 fn drain_frames<I>(
     conn: &mut Conn,
     index: &ShardedIndex<I>,
@@ -206,17 +213,13 @@ fn drain_frames<I>(
 where
     I: SnapshotIndex + RangeIndex + RemovableIndex,
 {
-    let mut consumed_total = 0usize;
-    let mut saw_shutdown = false;
     loop {
-        match decode_request(&conn.inbox[consumed_total..]) {
-            Ok(Decoded::Incomplete) => break,
+        match decode_request(conn.inbox.pending()) {
+            Ok(Decoded::Incomplete) => return Ok(false),
             Ok(Decoded::Frame { value, consumed }) => {
-                consumed_total += consumed;
-                let stop = handle_request(value, index, pinned, shared, &mut conn.outbox);
-                if stop {
-                    saw_shutdown = true;
-                    break;
+                conn.inbox.consume(consumed);
+                if handle_request(value, index, pinned, shared, &mut conn.outbox) {
+                    return Ok(true);
                 }
             }
             Err(error) => {
@@ -231,8 +234,6 @@ where
             }
         }
     }
-    conn.inbox.drain(..consumed_total);
-    Ok(saw_shutdown)
 }
 
 /// The worker thread body: adopt connections from the acceptor, sweep
@@ -249,7 +250,6 @@ where
     let mut report = WorkerReport::default();
     let mut pinned = Pinned::new(&index, view_refresh);
     let mut conns: Vec<Conn> = Vec::new();
-    let mut scratch = [0u8; 64 * 1024];
     let mut intake_open = true;
 
     while !shared.stop.load(Ordering::Relaxed) {
@@ -264,7 +264,7 @@ where
                     {
                         conns.push(Conn {
                             stream,
-                            inbox: Vec::new(),
+                            inbox: FrameBuf::default(),
                             outbox: Vec::new(),
                         });
                     }
@@ -287,25 +287,22 @@ where
         while i < conns.len() {
             let conn = &mut conns[i];
             let mut close = false;
-            match conn.stream.read(&mut scratch) {
+            match conn.inbox.fill(&mut conn.stream) {
                 Ok(0) => close = true, // orderly remote close
-                Ok(n) => {
-                    conn.inbox.extend_from_slice(&scratch[..n]);
-                    match drain_frames(conn, &index, &mut pinned, &shared, &mut report) {
-                        Ok(saw_shutdown) => {
-                            if !conn.outbox.is_empty() {
-                                if conn.stream.write_all(&conn.outbox).is_err() {
-                                    close = true;
-                                }
-                                conn.outbox.clear();
+                Ok(_) => match drain_frames(conn, &index, &mut pinned, &shared, &mut report) {
+                    Ok(saw_shutdown) => {
+                        if !conn.outbox.is_empty() {
+                            if conn.stream.write_all(&conn.outbox).is_err() {
+                                close = true;
                             }
-                            if saw_shutdown {
-                                shared.stop.store(true, Ordering::SeqCst);
-                            }
+                            conn.outbox.clear();
                         }
-                        Err(()) => close = true,
+                        if saw_shutdown {
+                            shared.stop.store(true, Ordering::SeqCst);
+                        }
                     }
-                }
+                    Err(()) => close = true,
+                },
                 Err(e)
                     if matches!(
                         e.kind(),

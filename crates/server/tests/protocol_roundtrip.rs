@@ -173,7 +173,7 @@ fn truncated_bad_crc_oversized_and_unknown_opcode_are_distinct_typed_errors() {
     let mut short = valid.clone();
     short[0] = 5; // opcode + 4 of the key's 8 bytes
     short.truncate(8 + 5);
-    let crc = csv_durability::crc::crc32(&short[8..]);
+    let crc = csv_common::crc::crc32(&short[8..]);
     short[4..8].copy_from_slice(&crc.to_le_bytes());
     assert_eq!(decode_request(&short), Err(ProtocolError::Truncated));
 
@@ -202,7 +202,7 @@ fn truncated_bad_crc_oversized_and_unknown_opcode_are_distinct_typed_errors() {
     let payload = [0xEEu8];
     let mut unknown = Vec::new();
     unknown.extend_from_slice(&1u32.to_le_bytes());
-    unknown.extend_from_slice(&csv_durability::crc::crc32(&payload).to_le_bytes());
+    unknown.extend_from_slice(&csv_common::crc::crc32(&payload).to_le_bytes());
     unknown.extend_from_slice(&payload);
     assert_eq!(
         decode_request(&unknown),
@@ -231,5 +231,148 @@ fn truncated_bad_crc_oversized_and_unknown_opcode_are_distinct_typed_errors() {
         for b in &messages[i + 1..] {
             assert_ne!(a, b);
         }
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// One frame of every request and response kind, byte for byte as the
+/// commit before the in-place encoder and the sliced CRC wrote it (captured
+/// by running that commit's `encode_*`): the wire format is asserted
+/// unchanged, not assumed, and old bytes still decode to the same values.
+#[test]
+fn golden_frames_are_byte_identical_to_the_previous_encoder() {
+    let requests = [
+        (
+            Request::Get {
+                key: 0x0102_0304_0506_0708,
+            },
+            "09000000a1329c31010807060504030201",
+        ),
+        (
+            Request::MultiGet {
+                keys: vec![1, u64::MAX, 0],
+            },
+            "1d0000005498ced902030000000100000000000000ffffffffffffffff0000000000000000",
+        ),
+        (
+            Request::Range {
+                lo: 5,
+                hi: 500,
+                limit: 100,
+            },
+            "1500000088fdd123030500000000000000f40100000000000064000000",
+        ),
+        (
+            Request::Insert { key: 7, value: 9 },
+            "110000002c3551580407000000000000000900000000000000",
+        ),
+        (
+            Request::Remove { key: 7 },
+            "09000000f8585ba6050700000000000000",
+        ),
+        (
+            Request::WriteBatch {
+                ops: vec![
+                    WriteOp::Insert { key: 1, value: 2 },
+                    WriteOp::Remove { key: 3 },
+                ],
+            },
+            "1f0000002f0bdbdf06020000000001000000000000000200000000000000010300000000000000",
+        ),
+        (Request::Stats, "010000002e7a664c07"),
+        (Request::Shutdown, "01000000bf67d9dc08"),
+    ];
+    for (request, golden) in requests {
+        let mut frame = Vec::new();
+        encode_request(&request, &mut frame);
+        assert_eq!(hex(&frame), golden, "{request:?}");
+        assert_eq!(
+            decode_request(&frame),
+            Ok(Decoded::Frame {
+                value: request,
+                consumed: frame.len()
+            })
+        );
+    }
+
+    let responses = [
+        (Response::Value(Some(9)), "0a000000210579e281010900000000000000"),
+        (Response::Value(None), "02000000f5bb41638100"),
+        (
+            Response::Values(vec![Some(1), None, Some(u64::MAX)]),
+            "18000000f7e80b2a82030000000101000000000000000001ffffffffffffffff",
+        ),
+        (
+            Response::Records {
+                records: vec![KeyValue { key: 1, value: 2 }, KeyValue { key: 3, value: 4 }],
+                truncated: true,
+            },
+            "26000000a2d8d28c8301020000000100000000000000020000000000000003000000000000000400000000000000",
+        ),
+        (Response::Inserted(true), "02000000267f31698401"),
+        (Response::Removed(Some(5)), "0a00000014b03dbc85010500000000000000"),
+        (
+            Response::BatchApplied {
+                fresh_inserts: 3,
+                hits: 1,
+            },
+            "09000000ed0d75c5860300000001000000",
+        ),
+        (
+            Response::Stats(ServerStats {
+                keys: 10,
+                shards: 4,
+                workers: 2,
+                rcu: true,
+                connections: 5,
+                ops: 999,
+                engine_healthy: true,
+                maintenance: false,
+            }),
+            "240000001350a695870a000000000000000400000002000000010500000000000000e7030000000000000100",
+        ),
+        (Response::ShuttingDown, "010000009fe4613188"),
+        (Response::Error("nope".to_string()), "090000004c4c202289040000006e6f7065"),
+    ];
+    for (response, golden) in responses {
+        let mut frame = Vec::new();
+        encode_response(&response, &mut frame);
+        assert_eq!(hex(&frame), golden, "{response:?}");
+        assert_eq!(
+            decode_response(&frame),
+            Ok(Decoded::Frame {
+                value: response,
+                consumed: frame.len()
+            })
+        );
+    }
+}
+
+/// An error message too long for a frame is cut at a char boundary: with a
+/// multi-byte scalar straddling the byte limit, the frame must still decode
+/// (to a prefix of the message), not be rejected as non-UTF-8.
+#[test]
+fn oversized_error_messages_are_cut_at_a_char_boundary() {
+    let limit = MAX_FRAME_LEN - 16;
+    for lead in 0..4 {
+        // `lead` ASCII bytes, then 3-byte scalars: every phase of the
+        // scalar against the limit, including landing exactly on it.
+        let message = "x".repeat(lead) + &"€".repeat(limit / 3 + 8);
+        assert!(message.len() > limit);
+        let mut frame = Vec::new();
+        encode_response(&Response::Error(message.clone()), &mut frame);
+        let Ok(Decoded::Frame {
+            value: Response::Error(cut),
+            consumed,
+        }) = decode_response(&frame)
+        else {
+            panic!("lead {lead}: the truncated error frame must decode");
+        };
+        assert_eq!(consumed, frame.len());
+        assert!(message.starts_with(&cut));
+        assert!(cut.len() <= limit && cut.len() > limit - 3, "lead {lead}");
     }
 }
