@@ -11,8 +11,6 @@
 //! * [`pla`] — optimal ε-bounded piecewise linear approximation (used by the
 //!   PGM baseline and by SALI's hot sub-tree flattening),
 //! * [`search`] — bounded binary and exponential search with cost counters,
-//! * [`fenwick`] — a Fenwick (binary indexed) tree used for incremental
-//!   suffix-sum maintenance during CDF smoothing,
 //! * [`traits`] — the [`traits::LearnedIndex`] abstraction plus the
 //!   structural statistics every index reports ([`traits::IndexStats`]),
 //! * [`metrics`] — machine-independent cost counters and simple timing /
@@ -30,7 +28,6 @@
 #![deny(unsafe_code)]
 
 pub mod crc;
-pub mod fenwick;
 pub mod key;
 pub mod latency;
 pub mod linear;
@@ -46,7 +43,6 @@ pub mod search;
 pub mod sync;
 pub mod traits;
 
-pub use fenwick::Fenwick;
 pub use key::{Key, KeyValue, Value};
 pub use latency::LatencyHistogram;
 pub use linear::LinearModel;

@@ -51,7 +51,9 @@
 
 use crate::cost::{CostCondition, SubtreeCostStats};
 use crate::layout::SmoothedLayout;
-use crate::single::{smooth_segment, SmoothingConfig, SmoothingCounters, SmoothingResult};
+use crate::single::{
+    smooth_segment_in, SmoothingConfig, SmoothingCounters, SmoothingResult, SmoothingWorkspace,
+};
 use csv_common::Key;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -753,11 +755,20 @@ pub struct CsvOptimizer {
     config: CsvConfig,
 }
 
+/// What planning one sub-tree needs beyond its result: the collected keys
+/// and the smoothing kernel's workspace. Reused across every sub-tree a
+/// worker plans, so the read phase allocates only the layouts it returns;
+/// it grows to the largest sub-tree planned, which
+/// [`CsvConfig::max_subtree_keys`] bounds.
+#[derive(Default)]
+struct PlanScratch {
+    keys: Vec<Key>,
+    smoothing: SmoothingWorkspace,
+}
+
 thread_local! {
-    /// Per-worker scratch buffer for key collection: reused across every
-    /// sub-tree a worker plans, so the read phase performs no per-sub-tree
-    /// key allocations.
-    static KEY_SCRATCH: RefCell<Vec<Key>> = const { RefCell::new(Vec::new()) };
+    /// Per-worker scratch for parallel planning.
+    static PLAN_SCRATCH: RefCell<PlanScratch> = RefCell::default();
 }
 
 impl CsvOptimizer {
@@ -796,7 +807,7 @@ impl CsvOptimizer {
         &self,
         index: &I,
         subtree: SubtreeRef,
-        keys: &mut Vec<Key>,
+        scratch: &mut PlanScratch,
     ) -> PlannedSubtree {
         // The guards use the cost statistics' key count so a skipped
         // sub-tree is never materialised: an over-size-guard sub-tree can
@@ -822,9 +833,10 @@ impl CsvOptimizer {
                 action: PlannedAction::Skipped(reason),
             };
         }
+        let PlanScratch { keys, smoothing } = scratch;
         keys.clear();
         index.csv_collect_keys_into(&subtree, keys);
-        let smoothed: SmoothingResult = smooth_segment(keys, &self.config.smoothing);
+        let smoothed: SmoothingResult = smooth_segment_in(keys, &self.config.smoothing, smoothing);
         let after_cost = SubtreeCostStats::of_layout(&smoothed.layout);
         let rebuild = self.config.condition.should_rebuild(
             smoothed.loss_before,
@@ -857,10 +869,10 @@ impl CsvOptimizer {
         subtrees: Vec<SubtreeRef>,
     ) -> CsvPlan {
         let started = Instant::now();
-        let mut buf = Vec::new();
+        let mut scratch = PlanScratch::default();
         let decisions = subtrees
             .into_iter()
-            .map(|subtree| self.plan_subtree(index, subtree, &mut buf))
+            .map(|subtree| self.plan_subtree(index, subtree, &mut scratch))
             .collect();
         CsvPlan {
             decisions,
@@ -879,7 +891,7 @@ impl CsvOptimizer {
         let decisions = subtrees
             .par_iter()
             .map(|subtree| {
-                KEY_SCRATCH.with(|buf| self.plan_subtree(index, *subtree, &mut buf.borrow_mut()))
+                PLAN_SCRATCH.with(|s| self.plan_subtree(index, *subtree, &mut s.borrow_mut()))
             })
             .collect();
         CsvPlan {
@@ -997,14 +1009,14 @@ impl CsvOptimizer {
         let started = Instant::now();
         let mut report = CsvReport::default();
         if let Some((start_level, stop_level)) = self.sweep_levels(index) {
-            let mut buf = Vec::new();
+            let mut scratch = PlanScratch::default();
             for level in (stop_level..=start_level).rev() {
                 // Stream plan → apply per sub-tree: at most one accepted
                 // layout is alive at a time, unlike the per-level batch of
                 // `optimize_parallel`. Sub-trees at one level root disjoint
                 // key ranges, so the interleaving produces the same result.
                 for subtree in index.csv_subtrees_at_level(level) {
-                    let planned = self.plan_subtree(index, subtree, &mut buf);
+                    let planned = self.plan_subtree(index, subtree, &mut scratch);
                     apply_planned(index, &planned, &mut report);
                 }
             }

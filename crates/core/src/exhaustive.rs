@@ -114,7 +114,7 @@ pub fn exhaustive_smooth(
         loss_after_all,
         loss_after_real,
         virtual_points: best_subset,
-        layout: state.into_layout(),
+        layout: state.layout(),
         subsets_evaluated,
     })
 }

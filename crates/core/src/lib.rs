@@ -48,10 +48,12 @@ pub mod layout;
 pub mod paper_example;
 pub mod poisoning;
 pub mod quadratic_smoothing;
+#[cfg(test)]
+mod reference;
 pub mod segment;
 pub mod single;
 
-pub use candidates::{best_candidate_in_gap, Candidate, GapBounds};
+pub use candidates::{Candidate, GapBounds};
 
 /// Configures the global rayon thread pool to `threads` workers (0 = leave
 /// the auto-detected width untouched).

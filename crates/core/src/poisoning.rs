@@ -22,8 +22,8 @@
 //!    ([`smoothing_counteracts_poisoning`]), i.e. the defensive reading of
 //!    the technique.
 
-use crate::candidates::enumerate_gaps;
-use crate::segment::SegmentState;
+use crate::candidates::scan_lanes;
+use crate::segment::{GapLane, SegmentState};
 use crate::single::{smooth_segment, SmoothingConfig};
 use csv_common::{Key, LinearModel};
 
@@ -116,11 +116,12 @@ pub fn poison_segment(keys: &[Key], config: &PoisoningConfig) -> PoisoningResult
     let loss_before = model_before.sse_cdf(keys);
     let budget = config.budget(keys.len());
     let mut state = SegmentState::from_keys(keys);
+    let mut lanes = Vec::new();
     let mut poison_points = Vec::new();
 
     if keys.len() >= 2 {
         while poison_points.len() < budget {
-            let Some((value, loss)) = worst_candidate(&state) else {
+            let Some((value, loss)) = worst_candidate(&state, &mut lanes) else {
                 break;
             };
             if loss <= state.loss() {
@@ -146,13 +147,12 @@ pub fn poison_segment(keys: &[Key], config: &PoisoningConfig) -> PoisoningResult
 }
 
 /// The candidate value with the largest refitted loss across all gaps, if any
-/// gap exists.
-fn worst_candidate(state: &SegmentState) -> Option<(Key, f64)> {
+/// gap exists: pass 1 of the smoothing kernel's gap scan already evaluates
+/// both endpoints of every gap.
+fn worst_candidate(state: &SegmentState, lanes: &mut Vec<GapLane>) -> Option<(Key, f64)> {
     let mut worst: Option<(Key, f64)> = None;
-    for gap in enumerate_gaps(state) {
-        let coeffs = state.gap_coefficients(gap.rank);
-        for v in [gap.lo, gap.hi] {
-            let loss = coeffs.loss(v as f64);
+    for (gap, lane) in scan_lanes(state, lanes) {
+        for (v, loss) in [(gap.lo, lane.loss_lo), (gap.hi, lane.loss_hi)] {
             match worst {
                 Some((_, w)) if w >= loss => {}
                 _ => worst = Some((v, loss)),

@@ -43,13 +43,15 @@
 //! Both drivers expose [`SmoothingCounters`] so benches can quantify how
 //! many refits the lazy heap avoids.
 
-use crate::candidates::{best_candidate_in_gap, enumerate_gaps, GapBounds};
+use crate::candidates::{
+    best_candidate_counted, best_candidate_in_gap, is_new_minimum, scan_gaps, Candidate, GapBounds,
+};
 use crate::layout::SmoothedLayout;
-use crate::segment::SegmentState;
+use crate::segment::{GapLane, SegmentState, MAX_ENTRIES};
 use csv_common::{Key, LinearModel};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// Which greedy driver to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -180,12 +182,32 @@ impl SmoothingResult {
     }
 }
 
+/// Everything one smoothing run allocates apart from its result: the
+/// segment's arrays, the gap scan's pass-1 lanes and the lazy driver's heap
+/// storage. A planner keeps one per worker so that smoothing a sub-tree
+/// allocates nothing but the layout it returns.
+#[derive(Debug, Default)]
+pub(crate) struct SmoothingWorkspace {
+    state: SegmentState,
+    lanes: Vec<GapLane>,
+    heap: Vec<HeapEntry>,
+}
+
 /// Runs Algorithm 1 on a strictly increasing key slice.
 pub fn smooth_segment(keys: &[Key], config: &SmoothingConfig) -> SmoothingResult {
+    smooth_segment_in(keys, config, &mut SmoothingWorkspace::default())
+}
+
+/// [`smooth_segment`] inside a reused workspace.
+pub(crate) fn smooth_segment_in(
+    keys: &[Key],
+    config: &SmoothingConfig,
+    workspace: &mut SmoothingWorkspace,
+) -> SmoothingResult {
     let model_before = LinearModel::fit_cdf(keys);
     let loss_before = model_before.sse_cdf(keys);
     let budget = config.budget(keys.len());
-    let mut state = SegmentState::from_keys(keys);
+    workspace.state.reset(keys);
     let mut virtual_points = Vec::new();
     let mut counters = SmoothingCounters::default();
 
@@ -194,14 +216,14 @@ pub fn smooth_segment(keys: &[Key], config: &SmoothingConfig) -> SmoothingResult
     } else {
         match config.mode {
             GreedyMode::Rescan => run_rescan(
-                &mut state,
+                workspace,
                 budget,
                 config.min_relative_gain,
                 &mut virtual_points,
                 &mut counters,
             ),
             GreedyMode::Lazy => run_lazy(
-                &mut state,
+                workspace,
                 budget,
                 config,
                 &mut virtual_points,
@@ -210,13 +232,12 @@ pub fn smooth_segment(keys: &[Key], config: &SmoothingConfig) -> SmoothingResult
         }
     };
 
-    let loss_after_real = state.loss_real_only();
-    let loss_after_all = state.loss();
+    let state = &workspace.state;
     SmoothingResult {
-        layout: state.into_layout(),
+        layout: state.layout(),
         loss_before,
-        loss_after_real,
-        loss_after_all,
+        loss_after_real: state.loss_real_only(),
+        loss_after_all: state.loss(),
         model_before,
         virtual_points,
         iterations,
@@ -225,52 +246,18 @@ pub fn smooth_segment(keys: &[Key], config: &SmoothingConfig) -> SmoothingResult
     }
 }
 
-/// One full pass over every gap: evaluates each gap's best candidate
-/// against the current statistics, in key order. Shared by the Rescan
-/// driver and the lazy driver's exact fallback.
-fn evaluate_all_gaps(
-    state: &SegmentState,
-    counters: &mut SmoothingCounters,
-) -> Vec<(crate::candidates::Candidate, GapBounds)> {
-    let mut evaluated = Vec::new();
-    for gap in enumerate_gaps(state) {
-        if let Some(c) = best_candidate_in_gap(state, &gap) {
-            counters.gap_refits += 1;
-            evaluated.push((c, gap));
-        }
-    }
-    evaluated
-}
-
-/// Index of the minimal-loss evaluation; ties keep the first gap in key
-/// order, matching Algorithm 1's scan order and
-/// [`crate::candidates::best_candidate_counted`] (the streamed form the
-/// Rescan driver uses). The lazy fallback's "exact by construction" claim
-/// rests on these agreeing, and the lazy heap's tie-break ([`HeapEntry`]'s
-/// `Ord`) mirrors the same rule for fresh-top wins.
-fn first_minimum(evaluated: &[(crate::candidates::Candidate, GapBounds)]) -> Option<usize> {
-    let mut best: Option<usize> = None;
-    for (i, (c, _)) in evaluated.iter().enumerate() {
-        match best {
-            Some(b) if evaluated[b].0.loss <= c.loss => {}
-            _ => best = Some(i),
-        }
-    }
-    best
-}
-
 fn run_rescan(
-    state: &mut SegmentState,
+    workspace: &mut SmoothingWorkspace,
     budget: usize,
     min_relative_gain: f64,
     virtual_points: &mut Vec<Key>,
     counters: &mut SmoothingCounters,
 ) -> usize {
+    let SmoothingWorkspace { state, lanes, .. } = workspace;
     let mut iterations = 0;
     let mut previous_loss = state.loss();
     while virtual_points.len() < budget {
-        let Some(best) = crate::candidates::best_candidate_counted(state, &mut counters.gap_refits)
-        else {
+        let Some(best) = best_candidate_counted(state, lanes, &mut counters.gap_refits) else {
             break;
         };
         if !improves(previous_loss, best.loss, min_relative_gain) {
@@ -291,23 +278,32 @@ fn run_rescan(
 /// refitted loss) rather than the absolute loss: gains are comparable across
 /// epochs, while absolute losses shrink globally with every insertion and
 /// would bury stale-but-good entries under fresher ones.
+///
+/// Sifting moves whole entries, so the entry is kept to 40 bytes: ranks and
+/// epochs are below [`MAX_ENTRIES`], and the candidate's loss — read only
+/// when a still-fresh entry wins — is recomputed from `value` at that point.
+#[derive(Debug)]
 struct HeapEntry {
-    /// `loss(current state) − loss(state ∪ {value})` at evaluation time.
+    /// `loss(current state) − loss(state ∪ {value})` at evaluation time;
+    /// never NaN (losses are clamped at 0) and never `-0.0`.
     gain: f64,
-    /// The candidate's refitted loss at evaluation time.
-    loss: f64,
-    /// Loss-minimising candidate value inside `gap` at evaluation time.
+    /// Loss-minimising candidate value inside the gap at evaluation time.
     value: Key,
-    gap: GapBounds,
+    /// The gap's bounds and rank ([`GapBounds`]) at evaluation time.
+    lo: Key,
+    hi: Key,
+    rank: u32,
     /// Number of virtual points inserted when the entry was evaluated; an
     /// entry is *fresh* while this matches the driver's current epoch and
     /// *stale* afterwards.
-    epoch: usize,
+    epoch: u32,
 }
+
+const _: () = assert!(MAX_ENTRIES <= u32::MAX as usize);
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.gain == other.gain && self.gap.lo == other.gap.lo
+        self.gain == other.gain && self.lo == other.lo
     }
 }
 impl Eq for HeapEntry {}
@@ -320,43 +316,92 @@ impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: the largest gain pops first. Equal
         // gains pop the gap earliest in key order — the same tie rule as
-        // `first_minimum`, so fresh-top wins stay deterministic and aligned
-        // with the Rescan driver.
+        // `is_new_minimum`, so fresh-top wins stay deterministic and aligned
+        // with the Rescan driver. Without NaNs and negative zeros
+        // `total_cmp` is the numeric order, as one integer comparison.
         self.gain
-            .partial_cmp(&other.gain)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.gap.lo.cmp(&self.gap.lo))
+            .total_cmp(&other.gain)
+            .then_with(|| other.lo.cmp(&self.lo))
     }
 }
 
+impl HeapEntry {
+    /// The entry of `gap`'s best candidate, evaluated at `epoch` against a
+    /// segment whose loss is `current_loss`.
+    fn new(current_loss: f64, candidate: Candidate, gap: GapBounds, epoch: usize) -> Self {
+        Self {
+            // `+ 0.0` turns a `-0.0` difference into `0.0`.
+            gain: current_loss - candidate.loss + 0.0,
+            value: candidate.value,
+            lo: gap.lo,
+            hi: gap.hi,
+            rank: gap.rank as u32,
+            epoch: epoch as u32,
+        }
+    }
+
+    fn gap(&self) -> GapBounds {
+        GapBounds {
+            lo: self.lo,
+            hi: self.hi,
+            rank: self.rank as usize,
+        }
+    }
+
+    /// The winning move of an entry that is still fresh: its candidate, the
+    /// loss after inserting it, and the gap it splits.
+    fn into_winner(self, state: &SegmentState) -> (Key, f64, GapBounds) {
+        let gap = self.gap();
+        let loss = state.gap_model(gap.rank).loss(self.value as f64);
+        (self.value, loss, gap)
+    }
+}
+
+/// One full scan for the lazy driver: refills `entries` with a fresh entry
+/// per gap, in key order, and returns the index of the minimal-loss one
+/// (ties keep the first gap, see [`is_new_minimum`]). Seeds the heap and
+/// resolves the exact fallback.
+fn scan_into(
+    entries: &mut Vec<HeapEntry>,
+    state: &SegmentState,
+    lanes: &mut Vec<GapLane>,
+    current_loss: f64,
+    epoch: usize,
+) -> Option<usize> {
+    entries.clear();
+    let mut best: Option<(usize, f64)> = None;
+    scan_gaps(state, lanes, |gap, candidate| {
+        if is_new_minimum(best.map(|(_, loss)| loss), candidate.loss) {
+            best = Some((entries.len(), candidate.loss));
+        }
+        entries.push(HeapEntry::new(current_loss, candidate, gap, epoch));
+    });
+    best.map(|(index, _)| index)
+}
+
 fn run_lazy(
-    state: &mut SegmentState,
+    workspace: &mut SmoothingWorkspace,
     budget: usize,
     config: &SmoothingConfig,
     virtual_points: &mut Vec<Key>,
     counters: &mut SmoothingCounters,
 ) -> usize {
+    let SmoothingWorkspace { state, lanes, heap } = workspace;
     let min_relative_gain = config.min_relative_gain;
     // The fp-noise floor plus the user-selected drift tolerance; with the
     // default `drift_tolerance = 0.0` this is exactly the historical
     // constant, so the default pipeline is bit-identical.
     let violation_margin = LAZY_DRIFT_TOLERANCE + config.drift_tolerance.max(0.0);
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
     let mut epoch = 0usize;
     let mut previous_loss = state.loss();
-    for gap in enumerate_gaps(state) {
-        if let Some(c) = best_candidate_in_gap(state, &gap) {
-            counters.gap_refits += 1;
-            counters.heap_pushes += 1;
-            heap.push(HeapEntry {
-                gain: previous_loss - c.loss,
-                loss: c.loss,
-                value: c.value,
-                gap,
-                epoch,
-            });
-        }
-    }
+    // Heap order is total (no two entries share a gap, no gain is NaN), so
+    // the pop sequence does not depend on how the heap was built: one O(n)
+    // heapify of the scan's output, in the storage the last run left.
+    let mut entries = std::mem::take(heap);
+    scan_into(&mut entries, state, lanes, previous_loss, epoch);
+    counters.gap_refits += entries.len();
+    counters.heap_pushes += entries.len();
+    let mut queue = BinaryHeap::from(entries);
     let mut iterations = 0;
     while virtual_points.len() < budget {
         // Pop until the top entry is fresh, re-validating stale entries
@@ -364,61 +409,47 @@ fn run_lazy(
         // most once per epoch, so this terminates; in the worst case it does
         // the same work as one Rescan iteration.
         let winner: Option<(Key, f64, GapBounds)> = loop {
-            let Some(entry) = heap.pop() else { break None };
-            if entry.epoch == epoch {
-                break Some((entry.value, entry.loss, entry.gap));
+            let Some(mut top) = queue.peek_mut() else {
+                break None;
+            };
+            if top.epoch as usize == epoch {
+                break Some(PeekMut::pop(top).into_winner(state));
             }
             // The gap may have been shrunk by earlier insertions at its
             // ends; re-derive bounds before re-evaluating.
-            let Some(gap) = refresh_gap(state, &entry.gap) else {
+            let Some(gap) = refresh_gap(state.keys(), &top.gap(), epoch - top.epoch as usize)
+            else {
+                PeekMut::pop(top);
                 continue;
             };
-            let Some(current) = best_candidate_in_gap(state, &gap) else {
-                continue;
-            };
+            let current = best_candidate_in_gap(state, &gap);
             counters.gap_refits += 1;
             counters.stale_revalidations += 1;
             let current_gain = previous_loss - current.loss;
-            if current_gain > entry.gain + violation_margin * (1.0 + entry.gain.abs()) {
+            if current_gain > top.gain + violation_margin * (1.0 + top.gain.abs()) {
                 // This gap's marginal gain *grew* since it was stored: the
                 // stored gains are no longer upper bounds, so the lazy
                 // selection argument is void. Resolve this iteration with a
                 // full rescan — exact by construction — and reseed the heap
                 // with the freshly evaluated non-winning gaps in one O(n)
-                // heapify (`BinaryHeap::from`) instead of n·log n pushes.
-                // They carry the *current* epoch (valid for this
-                // pre-insertion state), go stale with the insertion below,
-                // and are re-validated on demand as usual.
+                // heapify, inside the heap's own storage. They carry the
+                // *current* epoch (valid for this pre-insertion state), go
+                // stale with the insertion below, and are re-validated on
+                // demand as usual.
                 counters.fallback_rescans += 1;
-                let evaluated = evaluate_all_gaps(state, counters);
-                let Some(best_idx) = first_minimum(&evaluated) else {
-                    break None;
-                };
-                let reseeded: Vec<HeapEntry> = evaluated
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != best_idx)
-                    .map(|(_, (c, gap))| HeapEntry {
-                        gain: previous_loss - c.loss,
-                        loss: c.loss,
-                        value: c.value,
-                        gap: *gap,
-                        epoch,
-                    })
-                    .collect();
-                counters.heap_pushes += reseeded.len();
-                heap = BinaryHeap::from(reseeded);
-                let (winner_candidate, winner_gap) = evaluated[best_idx];
-                break Some((winner_candidate.value, winner_candidate.loss, winner_gap));
+                drop(top);
+                let mut entries = std::mem::take(&mut queue).into_vec();
+                let best = scan_into(&mut entries, state, lanes, previous_loss, epoch);
+                counters.gap_refits += entries.len();
+                let won = best.map(|best| entries.swap_remove(best));
+                counters.heap_pushes += entries.len();
+                queue = BinaryHeap::from(entries);
+                break won.map(|won| won.into_winner(state));
             }
+            // The refreshed entry replaces the stale one at the top and
+            // sinks from there; it rarely has far to go.
             counters.heap_pushes += 1;
-            heap.push(HeapEntry {
-                gain: current_gain,
-                loss: current.loss,
-                value: current.value,
-                gap,
-                epoch,
-            });
+            *top = HeapEntry::new(previous_loss, current, gap, epoch);
         };
         let Some((inserted, winner_loss, gap)) = winner else {
             break;
@@ -434,62 +465,40 @@ fn run_lazy(
         // The insertion splits the winning gap into (at most) two new gaps;
         // their candidates are evaluated against the post-insertion state
         // and therefore enter the heap fresh.
-        if inserted > gap.lo {
-            let left = GapBounds {
-                lo: gap.lo,
-                hi: inserted - 1,
-                rank: gap.rank,
-            };
-            if let Some(c) = best_candidate_in_gap(state, &left) {
+        let halves = [
+            (gap.lo, inserted - 1, gap.rank),
+            (inserted + 1, gap.hi, gap.rank + 1),
+        ];
+        for (lo, hi, rank) in halves {
+            if lo <= hi {
+                let half = GapBounds { lo, hi, rank };
+                let candidate = best_candidate_in_gap(state, &half);
                 counters.gap_refits += 1;
                 counters.heap_pushes += 1;
-                heap.push(HeapEntry {
-                    gain: previous_loss - c.loss,
-                    loss: c.loss,
-                    value: c.value,
-                    gap: left,
-                    epoch,
-                });
-            }
-        }
-        if inserted < gap.hi {
-            let right = GapBounds {
-                lo: inserted + 1,
-                hi: gap.hi,
-                rank: gap.rank + 1,
-            };
-            if let Some(c) = best_candidate_in_gap(state, &right) {
-                counters.gap_refits += 1;
-                counters.heap_pushes += 1;
-                heap.push(HeapEntry {
-                    gain: previous_loss - c.loss,
-                    loss: c.loss,
-                    value: c.value,
-                    gap: right,
-                    epoch,
-                });
+                queue.push(HeapEntry::new(previous_loss, candidate, half, epoch));
             }
         }
     }
+    *heap = queue.into_vec();
     iterations
 }
 
-/// Re-derives a gap's bounds and rank against the current state; returns
+/// Re-derives a gap's bounds and rank against the current keys; returns
 /// `None` when the gap no longer contains any candidate.
 ///
-/// A stale gap can only have been narrowed by virtual points inserted at
-/// its ends, and those occupy *consecutive* ranks in the entry array. One
-/// binary search therefore anchors the low end, and both ends are trimmed
-/// by linear scans over adjacent entries — the earlier form paid one
-/// binary search (`contains`) per trimmed value plus a final `rank_of`,
-/// which dominated the lazy driver's re-validation cost on clustered data.
-fn refresh_gap(state: &SegmentState, gap: &GapBounds) -> Option<GapBounds> {
-    let entries = state.entries();
+/// `inserted_since` virtual points have entered the segment since the
+/// gap's rank was computed, each raising it by at most one, so the low end
+/// is anchored by a binary search over that many keys rather than over the
+/// segment. A stale gap can only have been narrowed by virtual points
+/// inserted at its ends, and those occupy *consecutive* ranks, so both ends
+/// are then trimmed by linear scans over adjacent keys.
+fn refresh_gap(keys: &[Key], gap: &GapBounds, inserted_since: usize) -> Option<GapBounds> {
     let mut lo = gap.lo;
     let mut hi = gap.hi;
     // `rank` tracks rank_of(lo) as lo advances past occupied values.
-    let mut rank = state.rank_of(lo);
-    while lo <= hi && rank < entries.len() && entries[rank].key() == lo {
+    let window = &keys[gap.rank..(gap.rank + inserted_since).min(keys.len())];
+    let mut rank = gap.rank + window.partition_point(|&k| k < lo);
+    while lo <= hi && keys.get(rank) == Some(&lo) {
         lo += 1;
         rank += 1;
     }
@@ -497,23 +506,22 @@ fn refresh_gap(state: &SegmentState, gap: &GapBounds) -> Option<GapBounds> {
         return None;
     }
     // Fast path — and the expected case, since insertions land either in a
-    // gap whose heap entry was just consumed or at a gap's ends: no entry
-    // lies in [lo, hi], so the high end needs no trimming and the one
-    // binary search above is the whole re-validation cost.
-    if rank >= entries.len() || entries[rank].key() > hi {
+    // gap whose heap entry was just consumed or at a gap's ends: no key
+    // lies in [lo, hi], so the high end needs no trimming.
+    if keys.get(rank).is_none_or(|&k| k > hi) {
         return Some(GapBounds { lo, hi, rank });
     }
-    // Entries inside [lo, hi]: trim the high end. Occupied values at the
-    // high end sit at consecutive ranks just below the first entry past the
-    // gap, so after locating rank_of(hi) the walk is over adjacent entries.
-    let mut hi_rank = rank + entries[rank..].partition_point(|e| e.key() < hi);
-    while hi >= lo && hi_rank < entries.len() && entries[hi_rank].key() == hi {
+    // Keys inside [lo, hi]: trim the high end. Occupied values at the high
+    // end sit at consecutive ranks just below the first key past the gap,
+    // so after locating rank_of(hi) the walk is over adjacent keys.
+    let mut hi_rank = rank + keys[rank..].partition_point(|&k| k < hi);
+    while hi >= lo && keys.get(hi_rank) == Some(&hi) {
         if hi == lo {
             return None;
         }
         hi -= 1;
         // rank >= 1 because every gap lies strictly above the segment's
-        // first entry, so this cannot underflow.
+        // first key, so this cannot underflow.
         hi_rank -= 1;
     }
     Some(GapBounds { lo, hi, rank })
@@ -714,23 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_selection_matches_first_minimum() {
-        let keys = example_keys();
-        let mut state = SegmentState::from_keys(&keys);
-        for _ in 0..4 {
-            let mut c1 = SmoothingCounters::default();
-            let mut refits = 0usize;
-            let evaluated = evaluate_all_gaps(&state, &mut c1);
-            let via_index = first_minimum(&evaluated).map(|i| evaluated[i].0);
-            let via_stream = crate::candidates::best_candidate_counted(&state, &mut refits);
-            assert_eq!(via_stream, via_index);
-            assert_eq!(c1.gap_refits, refits);
-            let Some(best) = via_stream else { break };
-            state.insert_virtual(best.value);
-        }
-    }
-
-    #[test]
     fn counters_reflect_rescan_work() {
         let keys = example_keys();
         let result = smooth_segment(&keys, &SmoothingConfig::with_alpha(0.5));
@@ -846,6 +837,154 @@ mod tests {
                 !keys.contains(&v),
                 "virtual point {v} duplicates a real key"
             );
+        }
+    }
+
+    use crate::reference::{self, random_free_value, test_segments};
+    use csv_common::rng::SplitMix64;
+    use csv_datasets::Dataset;
+    use proptest::collection::btree_set;
+    use proptest::prelude::*;
+
+    /// Both drivers at both drift tolerances, with a budget that lets a
+    /// large segment finish.
+    fn differential_configs(alpha: f64, max_budget: Option<usize>) -> Vec<SmoothingConfig> {
+        let mut configs = Vec::new();
+        for mode in [GreedyMode::Rescan, GreedyMode::Lazy] {
+            for drift_tolerance in [0.0, 0.1] {
+                configs.push(SmoothingConfig {
+                    alpha,
+                    mode,
+                    max_budget,
+                    drift_tolerance,
+                    ..SmoothingConfig::default()
+                });
+            }
+        }
+        configs
+    }
+
+    /// Differential test (b): the whole run — points, counters, losses and
+    /// layout — equals the reference kernel's, the final loss bit for bit.
+    fn assert_run_matches_reference(
+        keys: &[Key],
+        config: &SmoothingConfig,
+        workspace: &mut SmoothingWorkspace,
+    ) {
+        let want = reference::smooth_segment(keys, config);
+        for got in [
+            smooth_segment(keys, config),
+            smooth_segment_in(keys, config, workspace),
+        ] {
+            assert_eq!(got.virtual_points, want.virtual_points, "{config:?}");
+            assert_eq!(got.counters, want.counters, "{config:?}");
+            assert_eq!(
+                got.loss_after_all.to_bits(),
+                want.loss_after_all.to_bits(),
+                "{config:?}"
+            );
+            assert_eq!(got, want, "{config:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        #[cfg_attr(miri, ignore)]
+        fn runs_match_the_reference_on_random_segments(
+            keys in btree_set(0u64..200_000, 2..400),
+            offset in 0u64..700_000_000_000_000,
+            alpha in 0.05f64..1.0,
+        ) {
+            let keys: Vec<Key> = keys.into_iter().map(|k| k + offset).collect();
+            let mut workspace = SmoothingWorkspace::default();
+            for config in differential_configs(alpha, None) {
+                assert_run_matches_reference(&keys, &config, &mut workspace);
+            }
+        }
+    }
+
+    /// The Miri-sized run: both drivers over the 18 keys whose gaps take
+    /// every exit of the per-gap decision.
+    #[test]
+    fn small_segment_runs_match_the_reference() {
+        let (keys, _) = reference::small_branchy_segment();
+        let mut workspace = SmoothingWorkspace::default();
+        for config in differential_configs(0.5, None) {
+            assert_run_matches_reference(&keys, &config, &mut workspace);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn runs_match_the_reference_on_shaped_segments() {
+        let mut rng = SplitMix64::new(0xB);
+        // One workspace across every run: stale contents must never leak.
+        let mut workspace = SmoothingWorkspace::default();
+        for n in [2, 40, 1_500] {
+            for keys in test_segments(&mut rng, n) {
+                for config in differential_configs(0.3, Some(40)) {
+                    assert_run_matches_reference(&keys, &config, &mut workspace);
+                }
+            }
+        }
+        for config in differential_configs(1.0, Some(48)) {
+            assert_run_matches_reference(&clustered_keys(3_000), &config, &mut workspace);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn runs_match_the_reference_on_an_osm_like_segment() {
+        let keys = Dataset::Osm.generate(8_000, 14);
+        let mut workspace = SmoothingWorkspace::default();
+        for config in differential_configs(0.1, Some(96)) {
+            assert_run_matches_reference(&keys, &config, &mut workspace);
+        }
+    }
+
+    /// Differential test (d), per run: Σrank² is past 2⁵³ here (the per-gap
+    /// half is `candidates::tests::gaps_match_past_exact_rank_square_sums`).
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn runs_match_the_reference_past_exact_rank_square_sums() {
+        let keys = reference::huge_segment();
+        let mut workspace = SmoothingWorkspace::default();
+        for config in differential_configs(1.0, Some(3)) {
+            assert_run_matches_reference(&keys, &config, &mut workspace);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn windowed_gap_refresh_matches_a_full_search() {
+        let mut rng = SplitMix64::new(0xE);
+        for keys in test_segments(&mut rng, 60) {
+            let mut state = SegmentState::from_keys(&keys);
+            let mut reference = reference::RefState::from_keys(&keys);
+            // Every gap as it stood at every epoch, refreshed at the end.
+            let mut stale: Vec<(GapBounds, usize)> = Vec::new();
+            for epoch in 0..12 {
+                stale.extend(
+                    reference::enumerate_gaps(&reference)
+                        .into_iter()
+                        .map(|g| (g, epoch)),
+                );
+                let Some(v) = random_free_value(&mut rng, state.keys()) else {
+                    break;
+                };
+                state.insert_virtual(v);
+                reference.insert_virtual(v);
+                for (gap, since) in &stale {
+                    assert_eq!(
+                        refresh_gap(state.keys(), gap, epoch + 1 - since),
+                        reference::refresh_gap(&reference, gap),
+                        "{gap:?} from epoch {since} at {}",
+                        epoch + 1
+                    );
+                }
+            }
         }
     }
 }

@@ -2,10 +2,14 @@
 //! `CsvOptimizer::plan` followed by `CsvPlan::apply` is observationally
 //! identical to the fused `CsvOptimizer::optimize` — same report, same
 //! rebuilt structure, same lookups — on any dataset and smoothing
-//! threshold, and planning alone never mutates the index.
+//! threshold, and planning alone never mutates the index — plus golden
+//! pipeline counters that pin every smoothing decision to the values the
+//! kernel produced before it was rewritten around its data (PR 14).
 
+use csv_alex::AlexIndex;
 use csv_common::traits::LearnedIndex;
-use csv_core::{CsvConfig, CsvOptimizer, Decision, PlannedAction};
+use csv_core::{CostModel, CsvConfig, CsvOptimizer, CsvReport, Decision, PlannedAction};
+use csv_datasets::Dataset;
 use csv_lipp::LippIndex;
 use csv_repro::records_from_keys;
 use proptest::collection::btree_set;
@@ -78,4 +82,86 @@ proptest! {
             prop_assert_eq!(staged.get(probe), fused.get(probe));
         }
     }
+}
+
+/// What one `optimize` decided, as counted by the report and the index.
+#[derive(Debug, PartialEq)]
+struct Golden {
+    gap_refits: usize,
+    stale_revalidations: usize,
+    fallback_rescans: usize,
+    heap_pushes: usize,
+    virtual_points_added: usize,
+    subtrees_rebuilt: usize,
+    /// `IndexStats::mean_key_level()`, as bits.
+    mean_key_level: u64,
+}
+
+impl Golden {
+    fn of(report: &CsvReport, index: &impl LearnedIndex) -> Self {
+        assert_eq!(report.gap_refits, report.smoothing.gap_refits);
+        Self {
+            gap_refits: report.gap_refits,
+            stale_revalidations: report.smoothing.stale_revalidations,
+            fallback_rescans: report.smoothing.fallback_rescans,
+            heap_pushes: report.smoothing.heap_pushes,
+            virtual_points_added: report.virtual_points_added,
+            subtrees_rebuilt: report.subtrees_rebuilt,
+            mean_key_level: index.stats().mean_key_level().to_bits(),
+        }
+    }
+}
+
+/// Captured by running commit 6ec52b0 (the parent of the kernel rewrite):
+/// `Dataset::{Osm, Genome}.generate(20_000, seed)`, α = 0.1, the lazy driver.
+/// A smoothing decision that moves — one candidate, one tie, one fallback —
+/// moves at least one of these counts.
+#[test]
+fn smoothing_decisions_match_the_golden_counters() {
+    let lipp = |dataset: Dataset, seed| {
+        let mut index = LippIndex::bulk_load(&records_from_keys(&dataset.generate(20_000, seed)));
+        let report = CsvOptimizer::new(CsvConfig::for_lipp(0.1)).optimize(&mut index);
+        Golden::of(&report, &index)
+    };
+    assert_eq!(
+        lipp(Dataset::Osm, 42),
+        Golden {
+            gap_refits: 478_547,
+            stale_revalidations: 72_656,
+            fallback_rescans: 385,
+            heap_pushes: 477_777,
+            virtual_points_added: 980,
+            subtrees_rebuilt: 93,
+            mean_key_level: 0x4005_d134_04ea_4a8c, // 2.72715
+        }
+    );
+    assert_eq!(
+        lipp(Dataset::Genome, 7),
+        Golden {
+            gap_refits: 656_376,
+            stale_revalidations: 54_299,
+            fallback_rescans: 214,
+            heap_pushes: 655_948,
+            virtual_points_added: 203,
+            subtrees_rebuilt: 7,
+            mean_key_level: 0x4001_62eb_1c43_2ca5, // 2.1733
+        }
+    );
+    let mut alex = AlexIndex::bulk_load(&records_from_keys(&Dataset::Osm.generate(20_000, 42)));
+    let report =
+        CsvOptimizer::new(CsvConfig::for_alex(0.1, CostModel::default())).optimize(&mut alex);
+    assert_eq!(
+        Golden::of(&report, &alex),
+        Golden {
+            gap_refits: 1_426_478,
+            stale_revalidations: 998_930,
+            fallback_rescans: 81,
+            heap_pushes: 1_426_316,
+            // The default cost model rejects every ALEX rebuild on this
+            // data; the smoothing runs behind the rejections are pinned.
+            virtual_points_added: 0,
+            subtrees_rebuilt: 0,
+            mean_key_level: 0x400a_8db8_bac7_10cb, // 3.3192
+        }
+    );
 }
