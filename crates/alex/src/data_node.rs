@@ -6,6 +6,7 @@
 //! directly — exactly the trick the original implementation uses.
 
 use core::ops::ControlFlow;
+use csv_common::linear::ceil_to_usize;
 use csv_common::metrics::CostCounters;
 use csv_common::search::{expected_search_iterations, exponential_search};
 use csv_common::{Key, KeyValue, LinearModel, Value};
@@ -36,7 +37,7 @@ impl DataNode {
     /// Builds a data node over sorted records with the target density.
     pub fn build(records: &[KeyValue], level: usize) -> Self {
         let n = records.len();
-        let capacity = ((n as f64 / Self::TARGET_DENSITY).ceil() as usize).max(8);
+        let capacity = ceil_to_usize(n as f64 / Self::TARGET_DENSITY).max(8);
         Self::build_with_capacity(records, level, capacity)
     }
 
@@ -322,14 +323,6 @@ impl DataNode {
             }
         }
         ControlFlow::Continue(())
-    }
-
-    /// Issues a cache prefetch for the slot the model predicts for `key`,
-    /// without resolving the lookup (the search itself starts at the same
-    /// predicted position, so this warms exactly the line it will touch).
-    pub fn prefetch(&self, key: Key) {
-        let hint = self.model.predict_clamped(key, self.capacity());
-        csv_common::prefetch_slice_at(&self.slot_keys, hint);
     }
 
     /// Smallest stored key, if any.

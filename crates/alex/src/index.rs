@@ -395,23 +395,6 @@ impl LearnedIndex for AlexIndex {
             Node::Internal { .. } => unreachable!(),
         }
     }
-
-    fn prefetch_key(&self, key: Key) {
-        // One root-model prediction, one prefetch: pull the routed child
-        // node header toward the cache ahead of the resolve. Descending
-        // further (as `find_data_node` does) would stall on the dependent
-        // loads this pass is meant to overlap with other keys' work.
-        match &self.nodes[self.root] {
-            Node::Internal {
-                model, children, ..
-            } => {
-                let child = children[model.predict_clamped(key, children.len())];
-                csv_common::prefetch_slice_at(&self.nodes, child);
-            }
-            // A root data node is hot anyway; prefetch its predicted slot.
-            Node::Data(dn) => dn.prefetch(key),
-        }
-    }
 }
 
 impl AlexIndex {

@@ -302,21 +302,6 @@ impl LearnedIndex for BPlusTree {
             None
         }
     }
-
-    fn prefetch_key(&self, key: Key) {
-        // One root routing step (root separators are hot across a batch),
-        // one prefetch of the routed child's node header. A full `descend`
-        // here would stall on the same dependent loads the resolve pays —
-        // prefetching must stay non-blocking to overlap anything.
-        if let Node::Internal {
-            separators,
-            children,
-        } = &self.nodes[self.root]
-        {
-            let child = children[separators.partition_point(|&s| s <= key)];
-            csv_common::prefetch_slice_at(&self.nodes, child);
-        }
-    }
 }
 
 impl RangeIndex for BPlusTree {

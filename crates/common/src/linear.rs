@@ -27,6 +27,76 @@ impl Default for LinearModel {
     }
 }
 
+/// `key as f64`, bit for bit, through the signed conversion.
+///
+/// x86-64 has an instruction for signed 64-bit → double (`cvtsi2sd`) and,
+/// below AVX-512, none for unsigned: `u64 as f64` is a six-instruction
+/// sequence on every lookup's critical path. A key below 2⁶³ is the same
+/// number as an `i64`, so the signed conversion rounds it identically. A key
+/// from 2⁶³ up is halved first with the dropped bit OR-ed into the new lowest
+/// one — that bit lies below the rounding position, where only "zero or not"
+/// matters, so the rounding decision is unchanged — and doubling the result
+/// is exact. (The second arm is spelled out rather than written `key as f64`
+/// because the compiler, knowing both arms agree, merges them back into the
+/// unsigned sequence.)
+#[inline]
+pub fn key_to_f64(key: Key) -> f64 {
+    if key <= i64::MAX as Key {
+        key as i64 as f64
+    } else {
+        (((key >> 1) | (key & 1)) as i64 as f64) * 2.0
+    }
+}
+
+/// Turns a model output `p` into an array slot: `p` rounded to the nearest
+/// integer (halves away from zero) and clamped to `[0, upper)`; `0` when
+/// `upper == 0`. Every model class routes through this one function, so a key
+/// lands in the same slot whichever index predicts it.
+///
+/// It computes `p.round()` without calling it. `f64::round` rounds halves
+/// away from zero, which no SSE2 instruction does, so on the portable
+/// x86-64 baseline it is a call into libm through the GOT — about a quarter
+/// of a LIPP level. `(p + 0.5) as i64` truncates instead, and is **exactly**
+/// `p.round()` wherever the clamp does not already decide the answer
+/// (`upper ≤ 2⁵²`, which any slot array satisfies):
+///
+/// * `!(p >= 0.5)` — negatives, zeros, subnormals, everything that rounds to
+///   0, and NaN (for which the cast after `round` also gives 0) — returns 0
+///   before the sum is formed. This is the only binade where the sum can be
+///   rounded *across* an integer: `0.49999999999999994 + 0.5` is the tie
+///   between `1 − 2⁻⁵³` and `1.0` and resolves to `1.0`.
+/// * `p ∈ [0.5, 2⁵²)`: `0.5` is a multiple of `ulp(p)`, so `p + 0.5` is exact
+///   unless it reaches the next binade, where the spacing doubles and the sum
+///   may move by `ulp(p)`. It reaches the next binade `[2ᵉ⁺¹, …)` only from
+///   `p ≥ 2ᵉ⁺¹ − 0.5`, whose fraction is already ≥ 0.5: `round` gives `2ᵉ⁺¹`,
+///   and the sum, rounded or not, stays in `[2ᵉ⁺¹, 2ᵉ⁺¹ + 0.5]` and truncates
+///   to `2ᵉ⁺¹` too.
+/// * `p ≥ 2⁵²` (and `+∞`): `p` is an integer already, `round` returns it, and
+///   it is `> upper − 1`; the cast gives at least 2⁵² (it saturates at
+///   `i64::MAX`), so both forms clamp to `upper − 1`.
+///
+/// The `round` expression survives as this module's `#[cfg(test)]`
+/// reference, and the tests assert equality, not closeness.
+#[inline]
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN must take the `return 0` arm
+pub fn round_to_slot(p: f64, upper: usize) -> usize {
+    debug_assert!(upper as u64 <= 1 << 52, "slot ranges stay below 2^52");
+    if upper == 0 || !(p >= 0.5) {
+        return 0;
+    }
+    ((p + 0.5) as i64 as usize).min(upper - 1)
+}
+
+/// `x.ceil() as usize` without the libm call, for sizing slot arrays: the cast
+/// truncates (and saturates, and sends NaN and negatives to 0, exactly as
+/// casting the ceiling would), and the ceiling is one more when the cast
+/// dropped a fraction.
+#[inline]
+pub fn ceil_to_usize(x: f64) -> usize {
+    let whole = x as usize;
+    whole.saturating_add(usize::from(x > whole as f64))
+}
+
 impl LinearModel {
     /// Creates a model from explicit parameters.
     #[inline]
@@ -37,23 +107,16 @@ impl LinearModel {
     /// Predicts the (real-valued) position of `key`.
     #[inline]
     pub fn predict_f64(&self, key: Key) -> f64 {
-        self.slope * key as f64 + self.intercept
+        self.slope * key_to_f64(key) + self.intercept
     }
 
     /// Predicts a position clamped to `[0, upper)` and rounded to the nearest
-    /// slot, which is how the indexes turn model output into an array slot.
+    /// slot, which is how the indexes turn model output into an array slot:
+    /// [`round_to_slot`] of [`LinearModel::predict_f64`] — the per-level
+    /// step of every lookup.
     #[inline]
     pub fn predict_clamped(&self, key: Key, upper: usize) -> usize {
-        if upper == 0 {
-            return 0;
-        }
-        let p = self.predict_f64(key);
-        if p <= 0.0 {
-            0
-        } else {
-            let p = p.round() as usize;
-            p.min(upper - 1)
-        }
+        round_to_slot(self.predict_f64(key), upper)
     }
 
     /// Fits the least-squares line through `(keys[i], positions[i])`.
@@ -304,6 +367,155 @@ mod tests {
         assert_eq!(m.predict_clamped(100, 10), 9);
         assert_eq!(m.predict_clamped(4, 10), 3);
         assert_eq!(m.predict_clamped(4, 0), 0);
+    }
+
+    /// The libm form `round_to_slot` replaced, kept as its reference.
+    fn round_to_slot_reference(p: f64, upper: usize) -> usize {
+        if upper == 0 || p <= 0.0 {
+            0
+        } else {
+            (p.round() as usize).min(upper - 1)
+        }
+    }
+
+    /// `x` moved `steps` representable values up (or down, when negative).
+    fn ulps_from(x: f64, steps: i64) -> f64 {
+        assert!(x > 0.0 && x.is_finite());
+        f64::from_bits((x.to_bits() as i64 + steps) as u64)
+    }
+
+    const UPPERS: [usize; 6] = [0, 1, 2, 1000, 1 << 32, 1 << 52];
+
+    fn assert_rounds_like_libm(p: f64) {
+        for upper in UPPERS {
+            assert_eq!(
+                round_to_slot(p, upper),
+                round_to_slot_reference(p, upper),
+                "p = {p:e} ({:#x}), upper = {upper}",
+                p.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn round_to_slot_equals_libm_round_at_every_half_integer() {
+        // Every k + 0.5 below 2^20 and its neighbours: the only inputs where
+        // truncating p + 0.5 and rounding p could part ways.
+        let around = |k: u64| {
+            for base in [k as f64, k as f64 + 0.5] {
+                if base == 0.0 {
+                    assert_rounds_like_libm(base);
+                    continue;
+                }
+                for steps in -3..=3 {
+                    assert_rounds_like_libm(ulps_from(base, steps));
+                }
+            }
+        };
+        (0..1u64 << 20).for_each(around);
+        for power in [31, 32, 52, 53] {
+            ((1u64 << power) - 4..=(1u64 << power) + 4).for_each(around);
+        }
+    }
+
+    #[test]
+    fn round_to_slot_equals_libm_round_on_special_values() {
+        let specials = [
+            0.49999999999999994, // 0.5 − 2⁻⁵⁴: its sum with 0.5 rounds to 1.0
+            0.5,
+            0.5000000000000001,
+            0.0,
+            -0.0,
+            -0.4,
+            -0.5,
+            -1.5,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            9.3e18, // above i64::MAX: the cast saturates, the clamp decides
+            1.9e19,
+        ];
+        specials.into_iter().for_each(assert_rounds_like_libm);
+    }
+
+    #[test]
+    fn ceil_to_usize_equals_the_cast_ceiling() {
+        let mut rng = crate::rng::SplitMix64::new(5);
+        let fixed = [
+            0.0,
+            -0.0,
+            0.1,
+            1.0,
+            1.0000000000000002,
+            11.428571428571429, // 8 / 0.7
+            -0.5,
+            -3.0,
+            4503599627370495.5,
+            1.8446744073709552e19,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let random = (0..10_000).map(|_| rng.next_below(1 << 40) as f64 / 0.7);
+        for x in fixed.into_iter().chain(random) {
+            assert_eq!(ceil_to_usize(x), x.ceil() as usize, "{x:e}");
+        }
+    }
+
+    #[test]
+    fn key_conversion_is_the_unsigned_one() {
+        let mut rng = crate::rng::SplitMix64::new(17);
+        let edges = [
+            0,
+            1,
+            i64::MAX as Key - 1,
+            i64::MAX as Key, // the last key on the signed arm
+            i64::MAX as Key + 1,
+            (1 << 63) + 1025, // rounds up on the unsigned arm
+            Key::MAX - 1,
+            Key::MAX,
+        ];
+        let mut rng_high = crate::rng::SplitMix64::new(18);
+        let random = (0..1_000).map(|_| rng.next_u64() >> (rng.next_u64() % 64));
+        let high = (0..10_000).map(|_| rng_high.next_u64() | 1 << 63);
+        for key in edges.into_iter().chain(random).chain(high) {
+            assert_eq!(key_to_f64(key).to_bits(), (key as f64).to_bits(), "{key}");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn predict_clamped_equals_the_rounded_prediction_on_random_models() {
+        // Models as LIPP builds them: `slots / key span` slopes over offset
+        // keys, with keys on both arms of the conversion.
+        let mut rng = crate::rng::SplitMix64::new(42);
+        for case in 0..2_000_000u32 {
+            let upper = match case % 4 {
+                0 => 1 + rng.next_below(64) as usize,
+                1 => 1 + rng.next_below(1 << 20) as usize,
+                2 => 1 + rng.next_below(1 << 32) as usize,
+                _ => UPPERS[case as usize / 4 % UPPERS.len()],
+            };
+            let span = (rng.next_u64() >> (rng.next_u64() % 64)).max(1);
+            let offset = rng.next_u64() >> (rng.next_u64() % 64);
+            let slope = upper as f64 / span as f64 * (0.5 + rng.next_f64());
+            let intercept = (rng.next_f64() - 0.5) * 4.0 - slope * offset as f64;
+            let key = offset.wrapping_add(rng.next_below(span.saturating_mul(2).max(2)));
+            let model = LinearModel::new(slope, intercept);
+            assert_eq!(
+                model.predict_clamped(key, upper),
+                round_to_slot_reference(slope * key as f64 + intercept, upper),
+                "slope {slope:e} intercept {intercept:e} key {key} upper {upper}"
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! by SALI's hot sub-tree flattening.
 
 use crate::key::Key;
-use crate::linear::LinearModel;
+use crate::linear::{round_to_slot, LinearModel};
 use serde::{Deserialize, Serialize};
 
 /// A linear segment covering keys in `[first_key, last_key]` whose positions
@@ -27,12 +27,20 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Predicts the absolute rank of `key`, clamped to the segment's range.
+    /// Predicts the absolute rank of `key`, clamped to the segment's range
+    /// `[first_pos, first_pos + len − 1]`.
+    ///
+    /// Both ends of the range are integers and rounding is monotone, so
+    /// clamping before or after rounding gives the same rank: below the
+    /// range the answer is `first_pos`, otherwise it is [`round_to_slot`]
+    /// with the range's end as the bound (a NaN prediction falls through to
+    /// the helper's 0, as rounding a clamped NaN did).
     pub fn predict(&self, key: Key) -> usize {
         let p = self.model.predict_f64(key);
-        let lo = self.first_pos as f64;
-        let hi = (self.first_pos + self.len.saturating_sub(1)) as f64;
-        p.clamp(lo, hi).round() as usize
+        if p < self.first_pos as f64 {
+            return self.first_pos;
+        }
+        round_to_slot(p, self.first_pos + self.len.max(1))
     }
 }
 
@@ -154,6 +162,41 @@ mod tests {
         assert_eq!(segs.len(), 1);
         assert!(max_segmentation_error(&keys, &segs) <= 4.0 + 1e-9);
         assert_eq!(segs[0].len, 1000);
+    }
+
+    #[test]
+    fn predict_equals_the_rounded_clamped_prediction() {
+        // The libm form `Segment::predict` replaced.
+        let reference = |seg: &Segment, key: Key| {
+            let lo = seg.first_pos as f64;
+            let hi = (seg.first_pos + seg.len.saturating_sub(1)) as f64;
+            seg.model.predict_f64(key).clamp(lo, hi).round() as usize
+        };
+        let mut rng = crate::rng::SplitMix64::new(3);
+        let odd_models = [
+            LinearModel::new(f64::NAN, 0.0),
+            LinearModel::new(f64::INFINITY, 0.0),
+            LinearModel::new(0.0, f64::NEG_INFINITY),
+            LinearModel::new(0.0, 0.49999999999999994),
+            LinearModel::new(0.5, 0.0), // every odd key predicts a half
+        ];
+        for case in 0..2_000usize {
+            let (first_pos, len) = (rng.next_below(1000) as usize, rng.next_below(50) as usize);
+            let model = match odd_models.get(case % 8) {
+                Some(&model) => model,
+                None => LinearModel::new(rng.next_f64() * 2.0, first_pos as f64 - 20.0),
+            };
+            let seg = Segment {
+                first_key: 0,
+                last_key: 0,
+                first_pos,
+                len,
+                model,
+            };
+            for key in (0..40).chain([rng.next_u64()]) {
+                assert_eq!(seg.predict(key), reference(&seg, key), "{seg:?} at {key}");
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Best-effort cache prefetch hints.
 //!
-//! The batched read path predicts where a whole slice of keys will land
-//! before resolving any of them, then issues prefetches for the predicted
-//! slots so the resolve loop overlaps its cache misses instead of paying
-//! them serially. On non-x86 targets the hint compiles to nothing — the
+//! A lockstep batched descent (`LearnedIndex::get_many`) predicts the slot
+//! of every key of a block at one level and prefetches them all before it
+//! reads any, so the block's cache misses overlap instead of being paid
+//! one after another. On non-x86 targets the hint compiles to nothing — the
 //! code stays correct, it just loses the overlap.
 
 /// Hints the CPU to pull the cache line containing `ptr` into all cache

@@ -14,6 +14,7 @@
 //! raw 64-bit keys would overflow `f64` precision immediately.
 
 use crate::key::Key;
+use crate::linear::round_to_slot;
 use serde::{Deserialize, Serialize};
 
 /// A quadratic indexing function `f(k) = a·k² + b·k + c`.
@@ -66,18 +67,10 @@ impl QuadraticModel {
     }
 
     /// Predicts a position clamped to `[0, upper)` and rounded to the nearest
-    /// slot.
+    /// slot ([`round_to_slot`], the rule every model class shares).
     #[inline]
     pub fn predict_clamped(&self, key: Key, upper: usize) -> usize {
-        if upper == 0 {
-            return 0;
-        }
-        let p = self.predict_f64(key);
-        if p <= 0.0 {
-            0
-        } else {
-            (p.round() as usize).min(upper - 1)
-        }
+        round_to_slot(self.predict_f64(key), upper)
     }
 
     /// Fits the least-squares parabola through `(keys[i], positions[i])`.

@@ -39,7 +39,9 @@ use core::ops::ControlFlow;
 use csv_common::sync::{
     spin_loop, yield_now, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering, RwLock,
 };
-use csv_common::traits::{IndexStats, LearnedIndex, RangeIndex, RemovableIndex, SnapshotIndex};
+use csv_common::traits::{
+    IndexStats, LearnedIndex, RangeIndex, RemovableIndex, SnapshotIndex, LOOKUP_BLOCK,
+};
 use csv_common::{Key, KeyValue, Value};
 use csv_core::{CsvIntegrable, CsvOptimizer, CsvReport};
 use rayon::prelude::*;
@@ -546,18 +548,6 @@ impl Overlay {
         }
     }
 
-    /// Hints the caches about `key`'s overlay slot ahead of a batched
-    /// resolve. The flat representation prefetches the midpoint of its
-    /// entry array — the first probe of `get`'s binary search; the chunk
-    /// tree's root is batch-hot already and deeper chunks cannot be
-    /// predicted without descending, so it declines the hint.
-    fn prefetch(&self, _key: Key) {
-        match self {
-            Self::Flat(entries) => csv_common::prefetch_slice_at(entries, entries.len() / 2),
-            Self::Tree(_) => {}
-        }
-    }
-
     /// Iterates the overlay slots with keys in `[lo, hi]`, ascending —
     /// allocation-free in both representations.
     fn range(&self, lo: Key, hi: Key) -> OverlayIter<'_> {
@@ -624,15 +614,31 @@ impl<I: LearnedIndex> ShardSnapshot<I> {
         }
     }
 
-    /// Predicts where `key` would resolve — the overlay slot candidate and
-    /// the base index's model-predicted position — and prefetches those
-    /// cache lines without resolving the lookup. The batched read path
-    /// calls this for a whole block of keys before resolving any of them.
-    pub(crate) fn prefetch(&self, key: Key) {
-        if !self.overlay.is_empty() {
-            self.overlay.prefetch(key);
+    /// Batched [`ShardSnapshot::get`]: `out[i]` is what `get(keys[i])`
+    /// returns. The overlay is probed per key — it is small and its chunks
+    /// stay hot across a batch — and each block's overlay misses go to the
+    /// base index together, so its [`LearnedIndex::get_many`] can walk them
+    /// in lockstep.
+    pub(crate) fn get_many(&self, keys: &[Key], out: &mut [Option<Value>]) {
+        if self.overlay.is_empty() {
+            return self.base.get_many(keys, out);
         }
-        self.base.prefetch_key(key);
+        let mut missed = [0u32; LOOKUP_BLOCK];
+        for (keys, out) in keys.chunks(LOOKUP_BLOCK).zip(out.chunks_mut(LOOKUP_BLOCK)) {
+            let mut misses = 0;
+            for (i, (&key, slot)) in keys.iter().zip(out.iter_mut()).enumerate() {
+                match self.overlay.get(key) {
+                    Some(pending) => *slot = pending,
+                    None => {
+                        missed[misses] = i as u32;
+                        misses += 1;
+                    }
+                }
+            }
+            resolve_bucket(&missed[..misses], keys, out, |keys, out| {
+                self.base.get_many(keys, out)
+            });
+        }
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -850,33 +856,25 @@ thread_local! {
     static ROUTE_SCRATCH: RefCell<Vec<Vec<u32>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Block size of the software-pipelined batched resolve: positions for a
-/// whole block are predicted and prefetched before any of them is
-/// resolved, so the block's cache misses overlap instead of serialising.
-/// Eight in-flight lines sit comfortably inside the load-miss queue of
-/// every x86-64 core this runs on; buckets smaller than one block skip
-/// the prediction pass (the prefetches could not run ahead of the
-/// resolves that follow immediately). This engages on the snapshot
-/// resolve ([`ReadView::multi_get`] and the RCU `multi_get` path), where
-/// the overlay + base indirection leaves misses worth hiding; the locked
-/// resolve measured faster as a plain loop and keeps one.
-const RESOLVE_PIPELINE: usize = 8;
-
-/// Software-pipelined resolve of one shard's batch positions: prefetch a
-/// block of predicted locations, then resolve the block.
-fn pipelined_resolve(bucket: &[u32], mut prefetch: impl FnMut(u32), mut resolve: impl FnMut(u32)) {
-    if bucket.len() < RESOLVE_PIPELINE {
-        for &i in bucket {
-            resolve(i);
+/// Resolves a bucket of batch positions — one shard's share of a batch, or
+/// one block's overlay misses — through `get_many`: the bucket's keys are
+/// gathered into contiguous blocks of [`LOOKUP_BLOCK`], looked up together,
+/// and the answers scattered back to their batch positions.
+fn resolve_bucket(
+    bucket: &[u32],
+    keys: &[Key],
+    out: &mut [Option<Value>],
+    get_many: impl Fn(&[Key], &mut [Option<Value>]),
+) {
+    let mut gathered = [0 as Key; LOOKUP_BLOCK];
+    let mut found = [None; LOOKUP_BLOCK];
+    for block in bucket.chunks(LOOKUP_BLOCK) {
+        for (key, &i) in gathered.iter_mut().zip(block) {
+            *key = keys[i as usize];
         }
-        return;
-    }
-    for block in bucket.chunks(RESOLVE_PIPELINE) {
-        for &i in block {
-            prefetch(i);
-        }
-        for &i in block {
-            resolve(i);
+        get_many(&gathered[..block.len()], &mut found[..block.len()]);
+        for (&i, &value) in block.iter().zip(&found) {
+            out[i as usize] = value;
         }
     }
 }
@@ -930,9 +928,10 @@ impl<I: LearnedIndex> ReadView<I> {
     /// The classic learned-index batching discipline (run the cheap model
     /// predictions for the whole batch first, then resolve) applied at the
     /// shard level: phase 1 routes every key to its shard in one pass over
-    /// the batch, phase 2 resolves shard by shard, so each shard's overlay
-    /// chunks and base nodes are walked back-to-back instead of being
-    /// evicted between interleaved lookups. All lookups observe the same
+    /// the batch, phase 2 resolves shard by shard through
+    /// `ShardSnapshot::get_many`, so each shard's overlay chunks are probed
+    /// back-to-back and its base index walks the shard's keys in lockstep
+    /// ([`LearnedIndex::get_many`]). All lookups observe the same
     /// pinned snapshots — `multi_get` is equivalent to `keys.map(get)` on
     /// this view (pinned by tests), just batched.
     pub fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
@@ -941,24 +940,7 @@ impl<I: LearnedIndex> ReadView<I> {
             return out;
         }
         if self.shards.len() == 1 {
-            let snap = &self.shards[0].1;
-            if keys.len() < RESOLVE_PIPELINE {
-                for (slot, &key) in out.iter_mut().zip(keys) {
-                    *slot = snap.get(key);
-                }
-                return out;
-            }
-            for (slots, block) in out
-                .chunks_mut(RESOLVE_PIPELINE)
-                .zip(keys.chunks(RESOLVE_PIPELINE))
-            {
-                for &key in block {
-                    snap.prefetch(key);
-                }
-                for (slot, &key) in slots.iter_mut().zip(block) {
-                    *slot = snap.get(key);
-                }
-            }
+            self.shards[0].1.get_many(keys, &mut out);
             return out;
         }
         // Phase 1: the routing pass — one bucket of batch positions per
@@ -969,15 +951,10 @@ impl<I: LearnedIndex> ReadView<I> {
                 let shard = shard_for_key(&self.shards, key, |(lower, _)| *lower);
                 buckets[shard].push(i as u32);
             }
-            // Phase 2: per-shard software-pipelined resolution, batch
-            // positions in input order — predict + prefetch a block of
-            // positions, then resolve it (see `RESOLVE_PIPELINE`).
+            // Phase 2: per-shard batched resolution, batch positions in
+            // input order.
             for ((_, snap), bucket) in self.shards.iter().zip(buckets.iter()) {
-                pipelined_resolve(
-                    bucket,
-                    |i| snap.prefetch(keys[i as usize]),
-                    |i| out[i as usize] = snap.get(keys[i as usize]),
-                );
+                resolve_bucket(bucket, keys, &mut out, |keys, out| snap.get_many(keys, out));
             }
         });
         out
@@ -1166,15 +1143,10 @@ impl<I: LearnedIndex> ShardedIndex<I> {
                         if bucket.is_empty() {
                             continue;
                         }
-                        // Plain loop, no prefetch pass: the locked resolve
-                        // has no overlay/snapshot indirection to hide, and
-                        // an interleaved A/B measured the pipelined variant
-                        // 4-8% *slower* here — the predict+prefetch pass
-                        // only pays for itself on the snapshot resolve.
                         let index = shard.index.read();
-                        for &i in bucket.iter() {
-                            out[i as usize] = index.get(keys[i as usize]);
-                        }
+                        resolve_bucket(bucket, keys, &mut out, |keys, out| {
+                            index.get_many(keys, out)
+                        });
                     }
                 });
                 out
@@ -2586,10 +2558,16 @@ mod tests {
 
     /// The serving batch path: `multi_get` must return exactly what N
     /// individual `get`s would — in input order, hits and misses alike —
-    /// on both read paths, both overlay representations, and with pending
-    /// overlay writes (upserts and tombstones) in play.
+    /// on both read paths, both overlay representations, with pending
+    /// overlay writes (upserts and tombstones) in play, and through both
+    /// the default `get_many` (B+-tree) and LIPP's lockstep override.
     #[test]
     fn multi_get_matches_individual_gets_everywhere() {
+        multi_get_matches_individual_gets::<BPlusTree>();
+        multi_get_matches_individual_gets::<LippIndex>();
+    }
+
+    fn multi_get_matches_individual_gets<I: SnapshotIndex + RangeIndex + RemovableIndex>() {
         let keys = Dataset::Osm.generate(30_000, 11);
         let records = identity_records(&keys);
         // A deliberately unordered batch mixing hits, misses below, between
@@ -2600,41 +2578,73 @@ mod tests {
         batch.push(keys[0]);
         batch.push(keys[0]);
         batch.reverse();
-        for path in BOTH_PATHS {
-            for overlay in BOTH_OVERLAYS {
-                let sharded = ShardedIndex::<BPlusTree>::bulk_load(
-                    &records,
-                    config(8, path)
-                        .with_overlay(overlay)
-                        .with_overlay_capacity(64),
-                );
-                // Dirty the overlays: overwrites, fresh inserts, removals.
-                for &k in keys.iter().step_by(23) {
-                    sharded.insert(k, k ^ 0xABCD);
+        // Dirties the overlays: overwrites and removals all over, then a few
+        // of each on keys of the batch, so that the batch meets pending
+        // upserts and pending tombstones.
+        let dirty = |sharded: &ShardedIndex<I>| {
+            for &k in keys.iter().step_by(23) {
+                sharded.insert(k, k ^ 0xABCD);
+            }
+            for &k in keys.iter().step_by(41) {
+                sharded.remove(k);
+            }
+            for &k in keys.iter().step_by(17).skip(1200).take(3) {
+                sharded.insert(k, k ^ 0xEF);
+            }
+            for &k in keys.iter().step_by(17).skip(1000).take(3) {
+                sharded.remove(k);
+            }
+            if let Some(view) = sharded.read_view() {
+                let pending: Vec<Option<Value>> = batch
+                    .iter()
+                    .filter_map(|&k| {
+                        let shard = shard_for_key(&view.shards, k, |(lower, _)| *lower);
+                        view.shards[shard].1.overlay.get(k)
+                    })
+                    .collect();
+                assert!(pending.iter().any(Option::is_some), "no pending upsert");
+                assert!(pending.iter().any(Option::is_none), "no pending tombstone");
+            }
+        };
+        for shards in [8, 1] {
+            for path in BOTH_PATHS {
+                for overlay in BOTH_OVERLAYS {
+                    let name = format!("{shards} shards/{path:?}/{overlay:?}");
+                    let sharded = ShardedIndex::<I>::bulk_load(
+                        &records,
+                        config(shards, path)
+                            .with_overlay(overlay)
+                            .with_overlay_capacity(64),
+                    );
+                    // Clean overlays first (the batch goes to the base
+                    // index whole), then dirty ones.
+                    for dirtied in [false, true] {
+                        if dirtied {
+                            dirty(&sharded);
+                        }
+                        let individually: Vec<Option<Value>> =
+                            batch.iter().map(|&k| sharded.get(k)).collect();
+                        assert_eq!(sharded.multi_get(&batch), individually, "{name}");
+                        // Every prefix length around the lockstep block.
+                        for len in [1, LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 64] {
+                            assert_eq!(
+                                sharded.multi_get(&batch[..len]),
+                                individually[..len],
+                                "{name}, {len} keys"
+                            );
+                        }
+                        // The pinned view agrees with itself and the index.
+                        if let Some(view) = sharded.read_view() {
+                            let via_view: Vec<Option<Value>> =
+                                batch.iter().map(|&k| view.get(k)).collect();
+                            assert_eq!(view.multi_get(&batch), via_view, "{name}");
+                            assert_eq!(via_view, individually);
+                        }
+                    }
+                    assert!(sharded.multi_get(&[]).is_empty());
                 }
-                for &k in keys.iter().step_by(41) {
-                    sharded.remove(k);
-                }
-                let individually: Vec<Option<Value>> =
-                    batch.iter().map(|&k| sharded.get(k)).collect();
-                assert_eq!(
-                    sharded.multi_get(&batch),
-                    individually,
-                    "{path:?}/{overlay:?}"
-                );
-                // The pinned view agrees with itself and with the index.
-                if let Some(view) = sharded.read_view() {
-                    let via_view: Vec<Option<Value>> = batch.iter().map(|&k| view.get(k)).collect();
-                    assert_eq!(view.multi_get(&batch), via_view, "{overlay:?}");
-                    assert_eq!(via_view, individually);
-                }
-                assert!(sharded.multi_get(&[]).is_empty());
             }
         }
-        // Single-shard fast path.
-        let single = ShardedIndex::<BPlusTree>::bulk_load(&records, config(1, ReadPath::Rcu));
-        let expected: Vec<Option<Value>> = batch.iter().map(|&k| single.get(k)).collect();
-        assert_eq!(single.multi_get(&batch), expected);
     }
 
     #[test]

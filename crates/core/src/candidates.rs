@@ -93,20 +93,31 @@ fn interior_candidate(state: &SegmentState, gap: &GapBounds) -> Candidate {
         .interior_minimum()
         .filter(|v| v.is_finite() && *v > gap.lo as f64 && *v < gap.hi as f64)
         .unwrap_or_else(|| bisect_derivative(&model, gap.lo as f64, gap.hi as f64));
-    let eval = |v: f64| {
-        let value = (v as Key).clamp(gap.lo, gap.hi);
+    let eval = |value: Key| {
+        let value = value.clamp(gap.lo, gap.hi);
         Candidate {
             value,
             rank: gap.rank,
             loss: model.loss(value as f64),
         }
     };
-    let (floor, ceil) = (eval(v_star.floor()), eval(v_star.ceil()));
+    let (below, above) = neighbouring_keys(v_star);
+    let (floor, ceil) = (eval(below), eval(above));
     if floor.loss <= ceil.loss {
         floor
     } else {
         ceil
     }
+}
+
+/// `(v.floor() as Key, v.ceil() as Key)` without the two libm calls: the cast
+/// truncates and saturates, which is the floor wherever the floor is a key
+/// (and 0 below that, as casting the floor gives), and the ceiling is one
+/// more exactly when the cast dropped a positive fraction.
+#[inline]
+fn neighbouring_keys(v: f64) -> (Key, Key) {
+    let below = v as Key;
+    (below, below.saturating_add(Key::from(v > below as f64)))
 }
 
 /// Robust fallback root finder for the loss derivative on `[lo, hi]` when the
@@ -348,6 +359,35 @@ mod tests {
             exits.push(reference_exit(reference, &gap));
         }
         (exits, untrusted)
+    }
+
+    #[test]
+    fn neighbouring_keys_are_the_cast_floor_and_ceiling() {
+        let mut rng = SplitMix64::new(9);
+        let fixed = [
+            0.0,
+            -0.0,
+            0.25,
+            1.0,
+            1.5,
+            -0.5,
+            -7.0,
+            4503599627370495.5, // 2⁵² − 0.5, the largest value with a fraction
+            9007199254740993.0,
+            1.8446744073709552e19, // 2⁶⁴: both casts saturate
+            3.0e19,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let random = (0..10_000).map(|_| {
+            let whole = (rng.next_u64() >> (rng.next_u64() % 64)) as f64;
+            whole + [0.0, 0.5, rng.next_f64()][rng.next_below(3) as usize]
+        });
+        for v in fixed.into_iter().chain(random) {
+            let libm = (v.floor() as Key, v.ceil() as Key);
+            assert_eq!(neighbouring_keys(v), libm, "{v:e}");
+        }
     }
 
     /// Differential test (a): per gap, over the segment shapes of

@@ -155,8 +155,8 @@ impl CsvIntegrable for LippIndex {
         // points make the model accurate, the expansion keeps residual
         // conflicts (which would re-create children) rare.
         let scale = self.config().expansion.max(1.0);
-        let capacity =
-            ((layout.num_slots() as f64 * scale).ceil() as usize).max(layout.num_slots());
+        let capacity = csv_common::linear::ceil_to_usize(layout.num_slots() as f64 * scale)
+            .max(layout.num_slots());
         let model = layout.model();
         let scaled_model =
             csv_common::LinearModel::new(model.slope * scale, model.intercept * scale);

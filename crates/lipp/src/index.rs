@@ -6,8 +6,9 @@ use core::ops::ControlFlow;
 use csv_common::metrics::CostCounters;
 use csv_common::traits::{
     IndexStats, LearnedIndex, LevelHistogram, RangeIndex, RemovableIndex, SnapshotIndex,
+    LOOKUP_BLOCK,
 };
-use csv_common::{Key, KeyValue, LinearModel, Value};
+use csv_common::{prefetch_read, prefetch_slice_at, Key, KeyValue, LinearModel, Value};
 
 /// Construction/adjustment parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,6 +41,10 @@ pub struct LippIndex {
     pub(crate) root: usize,
     len: usize,
     config: LippConfig,
+    /// The root-to-slot path of the insert or remove in progress; empty
+    /// between calls. Kept so a write does not allocate one: every overlay
+    /// fold and every replayed WAL record is a write to this index.
+    path: Vec<usize>,
 }
 
 impl LippIndex {
@@ -55,6 +60,7 @@ impl LippIndex {
             root: 0,
             len: records.len(),
             config,
+            path: Vec::new(),
         };
         index.root = index.build_subtree(records, 1);
         index
@@ -316,7 +322,7 @@ impl LearnedIndex for LippIndex {
     }
 
     fn insert(&mut self, key: Key, value: Value) -> bool {
-        let mut path = Vec::new();
+        let mut path = std::mem::take(&mut self.path);
         let mut node_id = self.root;
         let inserted = loop {
             path.push(node_id);
@@ -363,6 +369,8 @@ impl LearnedIndex for LippIndex {
                 }
             }
         }
+        path.clear();
+        self.path = path;
         inserted
     }
 
@@ -417,18 +425,60 @@ impl LearnedIndex for LippIndex {
         }
     }
 
-    fn prefetch_key(&self, key: Key) {
-        // Root-model arithmetic only, then one prefetch of the predicted
-        // root slot — the first cache line the lookup will touch. No
-        // descent: reading slot contents here would *stall* on the very
-        // misses the prefetch pass exists to overlap (a dependent-load
-        // walk is just the lookup run twice).
-        let node = &self.nodes[self.root];
-        csv_common::prefetch_slice_at(&node.slots, node.predict_slot(key));
+    /// Lockstep batched descent (the why is on the trait method): the batch
+    /// is cut into blocks of [`LOOKUP_BLOCK`] keys and each block walks the
+    /// tree level by level, so the block's loads for one level are all in
+    /// flight before any of them is branched on.
+    fn get_many(&self, keys: &[Key], out: &mut [Option<Value>]) {
+        assert_eq!(keys.len(), out.len(), "one output slot per key");
+        for (keys, out) in keys.chunks(LOOKUP_BLOCK).zip(out.chunks_mut(LOOKUP_BLOCK)) {
+            self.get_block(keys, out);
+        }
     }
 }
 
 impl LippIndex {
+    /// One lockstep block of [`LearnedIndex::get_many`], at most
+    /// [`LOOKUP_BLOCK`] keys. Each round takes every live key one level down:
+    /// pass 1 predicts the key's slot in the node it stands on and prefetches
+    /// it, pass 2 reads the slots — a record or an empty slot finishes the
+    /// key, a child moves it there and prefetches the child's header — and
+    /// compacts the live keys to the front.
+    fn get_block(&self, keys: &[Key], out: &mut [Option<Value>]) {
+        const VACANT: Slot = Slot::Empty;
+        // Per live key: its position in the block, the node it stands on and
+        // the slot it reads this round.
+        let mut pos = [0usize; LOOKUP_BLOCK];
+        let mut node_id = [self.root; LOOKUP_BLOCK];
+        let mut slot = [&VACANT; LOOKUP_BLOCK];
+        let mut live = keys.len();
+        for (i, pos) in pos[..live].iter_mut().enumerate() {
+            *pos = i;
+        }
+        while live > 0 {
+            for j in 0..live {
+                let node = &self.nodes[node_id[j]];
+                slot[j] = &node.slots[node.predict_slot(keys[pos[j]])];
+                prefetch_read(slot[j]);
+            }
+            let mut kept = 0;
+            for j in 0..live {
+                let i = pos[j];
+                match *slot[j] {
+                    Slot::Empty => out[i] = None,
+                    Slot::Data(k, v) => out[i] = (k == keys[i]).then_some(v),
+                    Slot::Child(c) => {
+                        prefetch_slice_at(&self.nodes, c);
+                        pos[kept] = i;
+                        node_id[kept] = c;
+                        kept += 1;
+                    }
+                }
+            }
+            live = kept;
+        }
+    }
+
     /// In-order streaming scan: slot order within a node is key order (the
     /// routing model is monotone), so a depth-first left-to-right walk visits
     /// records in ascending key order. Monotonicity also lets the walk start
@@ -503,7 +553,7 @@ impl RemovableIndex for LippIndex {
         // empty slot (which later inserts can reuse). `subtree_keys` is kept
         // in sync along the path so the adjustment heuristic and CSV's
         // statistics stay accurate.
-        let mut path = Vec::new();
+        let mut path = std::mem::take(&mut self.path);
         let mut node_id = self.root;
         let removed = loop {
             path.push(node_id);
@@ -527,6 +577,8 @@ impl RemovableIndex for LippIndex {
                 self.nodes[id].dirty = true;
             }
         }
+        path.clear();
+        self.path = path;
         removed
     }
 }
@@ -686,6 +738,104 @@ mod tests {
             index.range(0, hi).iter().map(|r| r.key).collect::<Vec<_>>(),
             expected
         );
+    }
+
+    /// 35 keys in three tiers: ten spread wide (they stay in the root), a
+    /// cluster of a dozen that conflicts there (level 2), and a tighter
+    /// dozen inside that cluster (level 3). Small enough for Miri.
+    fn three_level_keys() -> Vec<Key> {
+        let spread = (1..=10u64).map(|i| i * 1_000_000_000);
+        let cluster = (1..=12u64).map(|j| 5_000_000_000 + j * 1_000);
+        let tight = (1..=12u64).map(|j| 5_000_005_000 + j);
+        let mut keys: Vec<Key> = spread.chain(cluster).chain(tight).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    #[test]
+    fn lockstep_block_finishes_keys_at_every_level() {
+        let keys = three_level_keys();
+        let mut index = LippIndex::bulk_load(&identity_records(&keys));
+        let at_level = |index: &LippIndex, level| {
+            let found = keys.iter().find(|&&k| index.level_of_key(k) == Some(level));
+            *found.unwrap_or_else(|| panic!("no key at level {level}"))
+        };
+        // One block whose keys leave the descent in rounds 1, 2 and 3 — as a
+        // record, as an empty slot and as another key's slot — in an order
+        // that makes the live list compact around finished keys.
+        let check = |index: &LippIndex| {
+            let (l1, l2, l3) = (at_level(index, 1), at_level(index, 2), at_level(index, 3));
+            let probes = [
+                l3,
+                7, // absent: an empty root slot or the first key's
+                l1,
+                l3 + 1_000_000, // absent, via the root
+                l2,
+                l2 + 1,  // absent, via the level-2 node
+                l3,      // a duplicate
+                l3 + 13, // absent, via the level-3 node
+                l1,
+                Key::MAX,
+            ];
+            let expected: Vec<Option<Value>> = probes.iter().map(|&k| index.get(k)).collect();
+            let mut got = vec![Some(Value::MAX); probes.len()];
+            index.get_many(&probes, &mut got);
+            assert_eq!(got, expected);
+            // (rounds walked, found) per probe: hits and misses at each depth.
+            let mut walks: Vec<(usize, bool)> = probes
+                .iter()
+                .map(|&k| {
+                    let mut counters = CostCounters::new();
+                    let found = index.get_counted(k, &mut counters).is_some();
+                    (counters.nodes_visited, found)
+                })
+                .collect();
+            walks.sort_unstable();
+            walks.dedup();
+            for depth in 1..=3 {
+                assert!(walks.contains(&(depth, true)), "no hit at level {depth}");
+                assert!(walks.contains(&(depth, false)), "no miss at level {depth}");
+            }
+        };
+        check(&index);
+        // And after the shape changed under it.
+        assert_eq!(index.remove(keys[3]), Some(keys[3]));
+        assert!(index.insert(5_000_005_000 + 40, 1));
+        check(&index);
+    }
+
+    #[test]
+    fn get_many_matches_gets_around_the_block_size() {
+        let keys = three_level_keys();
+        let index = LippIndex::bulk_load(&identity_records(&keys));
+        // Hits, near misses and repeats, cycled to every length of interest.
+        let pool: Vec<Key> = keys.iter().flat_map(|&k| [k, k + 1, k]).collect();
+        for len in [0, 1, LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 64] {
+            let probes: Vec<Key> = pool.iter().copied().cycle().skip(len).take(len).collect();
+            let expected: Vec<Option<Value>> = probes.iter().map(|&k| index.get(k)).collect();
+            let mut got = vec![Some(Value::MAX); len];
+            index.get_many(&probes, &mut got);
+            assert_eq!(got, expected, "{len} keys");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one output slot per key")]
+    fn get_many_rejects_mismatched_lengths() {
+        LippIndex::bulk_load(&[]).get_many(&[1, 2], &mut [None]);
+    }
+
+    #[test]
+    fn writes_leave_the_path_buffer_empty() {
+        let keys = three_level_keys();
+        let mut index = LippIndex::bulk_load(&identity_records(&keys));
+        assert!(index.insert(5_000_005_000 + 50, 5));
+        assert!(!index.insert(keys[0], 6));
+        assert_eq!(index.remove(keys[1]), Some(keys[1]));
+        assert_eq!(index.remove(3), None);
+        // A clone (every overlay fold starts with one) copies no stale path.
+        assert!(index.path.is_empty() && index.path.capacity() > 0);
     }
 
     #[test]

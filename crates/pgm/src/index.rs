@@ -316,16 +316,6 @@ impl LearnedIndex for PgmIndex {
             None
         }
     }
-
-    fn prefetch_key(&self, key: Key) {
-        // The recursive levels are small and hot; the cold miss is the data
-        // key array. Predict with the data-level segmentation directly and
-        // prefetch the centre of the ±ε window the lookup will search.
-        if let Some(level0) = self.levels.first() {
-            let predicted = locate_segment(level0, key).predict(key);
-            csv_common::prefetch_slice_at(&self.keys, predicted.min(self.keys.len()));
-        }
-    }
 }
 
 impl RangeIndex for PgmIndex {

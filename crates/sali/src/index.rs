@@ -80,13 +80,6 @@ impl FlatRegion {
         self.segments.len()
     }
 
-    /// Issues a cache prefetch for the centre of the ±ε window `get` will
-    /// binary-search for `key`, without resolving the lookup.
-    fn prefetch(&self, key: Key) {
-        let predicted = locate_segment(&self.segments, key).predict(key);
-        csv_common::prefetch_slice_at(&self.keys, predicted.min(self.keys.len()));
-    }
-
     fn get(&self, key: Key, counters: Option<&mut CostCounters>) -> Option<Value> {
         let seg = locate_segment(&self.segments, key);
         let predicted = seg.predict(key);
@@ -338,17 +331,6 @@ impl LearnedIndex for SaliIndex {
             }
         }
         self.lipp.level_of_key(key)
-    }
-
-    fn prefetch_key(&self, key: Key) {
-        // Hot keys resolve inside a flattened region: prefetch the centre of
-        // the ±ε window its segmentation predicts. Cold keys go to the LIPP
-        // base, which prefetches its predicted slot.
-        if let Some(r) = self.region_for(key) {
-            self.regions[r].prefetch(key);
-        } else {
-            self.lipp.prefetch_key(key);
-        }
     }
 }
 

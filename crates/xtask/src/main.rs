@@ -21,6 +21,13 @@
 //!    contract is "durable before published", and a sink call textually
 //!    after the publish is almost certainly a write acknowledged to
 //!    readers before it could be recovered.
+//! 5. **No libm rounding on a lookup path.** Non-test code of the index
+//!    crates (`crates/{lipp,alex,sali,pgm,btree}/src`) and of the model modules
+//!    (`csv_common::{linear,quadratic,pla}`) may not call `.round()`,
+//!    `.floor()`, `.ceil()` or `.trunc()`: on the portable x86-64 baseline
+//!    each is a call into libm through the PLT, and `round` cost a quarter
+//!    of every lookup unnoticed for thirteen PRs. Slots come from
+//!    `csv_common::linear::round_to_slot`, sizes from `ceil_to_usize`.
 //!
 //! The linter is deliberately text-based (the offline container has no
 //! `syn`): comments and string literals are masked out before scanning, so
@@ -59,6 +66,22 @@ const SINK_CALLS: &[&str] = &[
     ".checkpoint(",
     ".replace_shards(",
 ];
+
+/// Files (or directory prefixes) whose non-test code may not call a libm
+/// rounding function: everything a point lookup or a node build runs.
+const NO_LIBM_ROUNDING: &[&str] = &[
+    "crates/lipp/src/",
+    "crates/alex/src/",
+    "crates/sali/src/",
+    "crates/pgm/src/",
+    "crates/btree/src/",
+    "crates/common/src/linear.rs",
+    "crates/common/src/quadratic.rs",
+    "crates/common/src/pla.rs",
+];
+
+/// The float methods that lower to libm calls on baseline x86-64.
+const LIBM_ROUNDING_CALLS: &[&str] = &[".round()", ".floor()", ".ceil()", ".trunc()"];
 
 #[derive(Debug, PartialEq, Eq)]
 struct Violation {
@@ -303,6 +326,38 @@ fn fn_body_ranges(masked: &str) -> Vec<(usize, usize)> {
     ranges
 }
 
+/// Byte ranges of the items under a `#[cfg(test)]` attribute in masked
+/// source: from the attribute to the `}` closing the item's first brace
+/// block (a `mod tests { … }` or a single test-only fn), or to the `;` of
+/// an item that has no block (`mod reference;`, a `use`) — a `;` outside
+/// every bracket, so that `fn f() -> [u8; 4] { … }` is covered whole.
+fn cfg_test_ranges(masked: &str) -> Vec<(usize, usize)> {
+    let bytes = masked.as_bytes();
+    let mut ranges = Vec::new();
+    for (at, _) in masked.match_indices("#[cfg(test)]") {
+        let mut depth = 0usize;
+        for (i, &b) in bytes.iter().enumerate().skip(at) {
+            match b {
+                b';' if depth == 0 => {
+                    ranges.push((at, i));
+                    break;
+                }
+                b'{' | b'[' | b'(' => depth += 1,
+                b']' | b')' => depth = depth.saturating_sub(1),
+                b'}' => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        ranges.push((at, i));
+                        break;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    ranges
+}
+
 /// Lints one file's source. `rel_path` is workspace-relative with `/`
 /// separators.
 fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
@@ -388,6 +443,27 @@ fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
                         ),
                     });
                 }
+            }
+        }
+    }
+
+    // Rule 5: no libm rounding in the non-test code of a lookup path.
+    if allowlisted(rel_path, NO_LIBM_ROUNDING) {
+        let test_code = cfg_test_ranges(&masked);
+        for call in LIBM_ROUNDING_CALLS {
+            for (at, _) in masked.match_indices(*call) {
+                if test_code.iter().any(|&(from, to)| from <= at && at <= to) {
+                    continue;
+                }
+                violations.push(Violation {
+                    path: rel_path.to_string(),
+                    line: line_of(&masked, at),
+                    rule: "libm-rounding",
+                    message: format!(
+                        "`{call}` is a libm call on baseline x86-64; use \
+                         `csv_common::linear::{{round_to_slot, ceil_to_usize}}` or a truncating cast"
+                    ),
+                });
             }
         }
     }
@@ -574,6 +650,46 @@ mod tests {
     fn sink_method_definitions_do_not_count_as_call_sites() {
         let src = "fn apply(&self) {\n    self.cell.publish(next);\n    log_write(k);\n}\nfn checkpoint() {}\n";
         assert!(lint_source("crates/concurrent/src/maintenance.rs", src).is_empty());
+    }
+
+    #[test]
+    fn libm_rounding_on_a_lookup_path_is_flagged() {
+        let src = "fn slot(p: f64) -> usize {\n    p.round() as usize\n}\nfn cap(n: f64) -> usize { n.ceil() as usize }\n";
+        for path in ["crates/lipp/src/node.rs", "crates/common/src/pla.rs"] {
+            let violations = lint_source(path, src);
+            assert_eq!(rules(&violations), vec!["libm-rounding", "libm-rounding"]);
+            let lines: Vec<usize> = violations.iter().map(|v| v.line).collect();
+            assert_eq!(lines, vec![2, 4]);
+        }
+        for call in ["floor", "trunc"] {
+            let src = format!("fn f(x: f64) -> f64 {{ x.{call}() }}\n");
+            let violations = lint_source("crates/btree/src/node.rs", &src);
+            assert_eq!(rules(&violations), vec!["libm-rounding"]);
+        }
+    }
+
+    #[test]
+    fn libm_rounding_elsewhere_or_in_test_code_is_not_flagged() {
+        let src = "fn slot(p: f64) -> usize { p.round() as usize }\n";
+        // Outside the lookup path: the smoothing core, the other common modules.
+        assert!(lint_source("crates/core/src/single.rs", src).is_empty());
+        assert!(lint_source("crates/common/src/latency.rs", src).is_empty());
+        // The retained reference under `#[cfg(test)]`, comments, other names.
+        let src = "/// Not `p.round()`.\nfn slot(p: f64) -> usize { round_to_slot(p, 8) }\n\
+                   fn around(x: &Cursor) -> u32 { x.round_trips() }\n\
+                   #[cfg(test)]\nmod tests {\n    fn reference(p: f64) -> usize { p.round() as usize }\n\
+                   #[test]\n    fn t() { assert_eq!(1.5f64.floor(), 1.0); }\n}\n";
+        assert!(lint_source("crates/common/src/linear.rs", src).is_empty());
+        // A block-less test item covers itself only, and code after the
+        // test module is production code again.
+        let src = "#[cfg(test)]\nmod tests { fn r(p: f64) -> f64 { p.round() } }\nfn late(p: f64) -> f64 { p.trunc() }\n\
+                   #[cfg(test)]\nmod reference;\nfn later(p: f64) -> f64 { p.ceil() }\n\
+                   #[cfg(test)]\nfn pair(p: f64) -> [f64; 2] { [p.floor(), p.ceil()] }\n";
+        let violations = lint_source("crates/pgm/src/index.rs", src);
+        assert_eq!(rules(&violations), vec!["libm-rounding", "libm-rounding"]);
+        let mut lines: Vec<usize> = violations.iter().map(|v| v.line).collect();
+        lines.sort_unstable();
+        assert_eq!(lines, vec![3, 6]);
     }
 
     /// The real workspace must be clean — this is the regression guard

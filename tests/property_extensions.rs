@@ -2,9 +2,12 @@
 //! smoothing, SOSD I/O, Zipfian sampling, latency histogram, sharded
 //! concurrency) on randomly generated inputs.
 
+use csv_alex::AlexIndex;
+use csv_btree::BPlusTree;
 use csv_common::latency::LatencyHistogram;
 use csv_common::quadratic::QuadraticModel;
-use csv_common::traits::{LearnedIndex, RangeIndex, RemovableIndex};
+use csv_common::rng::XorShift64;
+use csv_common::traits::{LearnedIndex, RangeIndex, RemovableIndex, LOOKUP_BLOCK};
 use csv_common::{Key, LinearModel};
 use csv_concurrent::{ReadPath, ShardedIndex, ShardingConfig};
 use csv_core::poisoning::{poison_segment, PoisoningConfig};
@@ -14,7 +17,9 @@ use csv_core::{
 use csv_datasets::io::{decode_keys, encode_keys};
 use csv_datasets::Zipfian;
 use csv_lipp::LippIndex;
+use csv_pgm::PgmIndex;
 use csv_repro::records_from_keys;
+use csv_sali::SaliIndex;
 use proptest::collection::{btree_set, vec as pvec};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -106,8 +111,101 @@ proptest! {
     }
 }
 
+/// `get_many` against a loop of `get`s at every batch length around the
+/// lockstep block, over probes drawn from `pool` (keys that are or were
+/// stored), their neighbours, far misses and repeats.
+fn assert_get_many_matches_gets<I: LearnedIndex>(index: &I, pool: &[Key], seed: u64) {
+    let mut rng = XorShift64::new(seed | 1);
+    let lengths = [
+        0,
+        1,
+        LOOKUP_BLOCK - 1,
+        LOOKUP_BLOCK,
+        LOOKUP_BLOCK + 1,
+        64,
+        257,
+    ];
+    for len in lengths {
+        let mut probes: Vec<Key> = Vec::with_capacity(len);
+        for i in 0..len {
+            let known = pool[rng.next_below(pool.len() as u64) as usize];
+            probes.push(match rng.next_below(5) {
+                2 => known.wrapping_add(1),
+                3 => rng.next_u64(),
+                4 if i > 0 => probes[rng.next_below(i as u64) as usize],
+                _ => known,
+            });
+        }
+        let expected: Vec<Option<u64>> = probes.iter().map(|&k| index.get(k)).collect();
+        // Poisoned, so a slot `get_many` skips cannot pass for a miss.
+        let mut got = vec![Some(u64::MAX); len];
+        index.get_many(&probes, &mut got);
+        assert_eq!(got, expected, "{}: {len} probes {probes:?}", index.name());
+    }
+}
+
+/// Bulk load, check, mutate, check again.
+fn get_many_survives_mutation<I: LearnedIndex + RemovableIndex>(
+    keys: &[Key],
+    ops: &[(u64, bool)],
+    seed: u64,
+) {
+    let mut index = I::bulk_load(&records_from_keys(keys));
+    let mut pool = keys.to_vec();
+    assert_get_many_matches_gets(&index, &pool, seed);
+    for &(raw, insert) in ops {
+        let known = pool[raw as usize % pool.len()];
+        if insert {
+            // Next to a stored key, where LIPP resolves the conflict with a
+            // child node and the walk gets deeper.
+            let key = known.wrapping_add(1 + raw % 3);
+            index.insert(key, raw);
+            pool.push(key);
+        } else {
+            index.remove(known);
+        }
+    }
+    assert_get_many_matches_gets(&index, &pool, seed ^ 0xA5A5);
+}
+
+/// Sorted unique keys in dense runs separated by wide jumps: the runs
+/// conflict in a LIPP root and push keys to levels 2 and 3.
+fn clustered_key_set() -> impl Strategy<Value = Vec<Key>> {
+    btree_set(0u64..40_000, 64..500).prop_map(|raw| {
+        let mut key = 1_000u64;
+        let mut last = 0u64;
+        raw.into_iter()
+            .map(|x| {
+                let gap = x - last;
+                last = x;
+                key += if gap < 40 {
+                    gap.max(1)
+                } else {
+                    gap * 1_000_003
+                };
+                key
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn get_many_matches_individual_gets_on_every_index(
+        keys in clustered_key_set(),
+        ops in pvec((any::<u64>(), any::<bool>()), 0..200),
+        seed in any::<u64>(),
+    ) {
+        get_many_survives_mutation::<LippIndex>(&keys, &ops, seed);
+        get_many_survives_mutation::<AlexIndex>(&keys, &ops, seed);
+        get_many_survives_mutation::<SaliIndex>(&keys, &ops, seed);
+        get_many_survives_mutation::<PgmIndex>(&keys, &ops, seed);
+        get_many_survives_mutation::<BPlusTree>(&keys, &ops, seed);
+        let deepest = LippIndex::bulk_load(&records_from_keys(&keys)).stats().height;
+        prop_assert!(deepest >= 2, "the key sets are meant to nest, height {deepest}");
+    }
 
     #[test]
     fn lipp_range_and_remove_match_btreemap(keys in btree_set(0u64..500_000, 64..400), ops in pvec((any::<u64>(), 0u8..4), 1..120) ) {
