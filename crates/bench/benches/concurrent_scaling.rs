@@ -1,12 +1,12 @@
-//! Multi-threaded read throughput of the sharded index wrapper — locked vs.
-//! RCU read paths, original vs. CSV-enhanced shards (the scalability
-//! dimension SALI targets), plus the pinned-snapshot fast path for
-//! read-mostly batches.
+//! Multi-threaded read throughput of the sharded index wrapper — original
+//! vs. CSV-enhanced shards (the scalability dimension SALI targets), per
+//! lookup and through the pinned-snapshot fast path for read-mostly
+//! batches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use csv_common::key::identity_records;
 use csv_concurrent::{
-    run_read_throughput, run_read_throughput_pinned, ReadPath, ShardedIndex, ShardingConfig,
+    run_read_throughput, run_read_throughput_pinned, ShardedIndex, ShardingConfig,
 };
 use csv_core::{CsvConfig, CsvOptimizer};
 use csv_datasets::{Dataset, ReadOnlyWorkload};
@@ -22,9 +22,8 @@ fn bench_concurrent_scaling(c: &mut Criterion) {
     let records = identity_records(&keys);
     let queries = ReadOnlyWorkload::uniform(keys.clone(), QUERIES, 9).queries;
 
-    let build = |read_path: ReadPath, csv: bool| {
-        let config = ShardingConfig::with_shards(16).with_read_path(read_path);
-        let index = ShardedIndex::<LippIndex>::bulk_load(&records, config);
+    let build = |csv: bool| {
+        let index = ShardedIndex::<LippIndex>::bulk_load(&records, ShardingConfig::with_shards(16));
         if csv {
             index.optimize(&CsvOptimizer::new(CsvConfig::for_lipp(0.1)));
         }
@@ -36,32 +35,23 @@ fn bench_concurrent_scaling(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
     group.throughput(Throughput::Elements(QUERIES as u64));
-    for (path_name, read_path) in [("locked", ReadPath::Locked), ("rcu", ReadPath::Rcu)] {
-        for (csv_name, csv) in [("", false), ("_csv", true)] {
-            let index = build(read_path, csv);
-            for &threads in &[1usize, 4, 8] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("lipp_sharded_{path_name}{csv_name}"), threads),
-                    &threads,
-                    |b, &t| {
-                        b.iter(|| black_box(run_read_throughput(&index, &queries, t)));
-                    },
-                );
-            }
-            // The pinned-view fast path only exists on the RCU path (it
-            // falls back to per-lookup gets on the locked one, which the
-            // plain benchmark already measures).
-            if read_path == ReadPath::Rcu {
-                for &threads in &[1usize, 4, 8] {
-                    group.bench_with_input(
-                        BenchmarkId::new(format!("lipp_sharded_rcu_pinned{csv_name}"), threads),
-                        &threads,
-                        |b, &t| {
-                            b.iter(|| black_box(run_read_throughput_pinned(&index, &queries, t)));
-                        },
-                    );
-                }
-            }
+    for (csv_name, csv) in [("", false), ("_csv", true)] {
+        let index = build(csv);
+        for &threads in &[1usize, 4, 8] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("lipp_sharded{csv_name}"), threads),
+                &threads,
+                |b, &t| {
+                    b.iter(|| black_box(run_read_throughput(&index, &queries, t)));
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("lipp_sharded_pinned{csv_name}"), threads),
+                &threads,
+                |b, &t| {
+                    b.iter(|| black_box(run_read_throughput_pinned(&index, &queries, t)));
+                },
+            );
         }
     }
     group.finish();

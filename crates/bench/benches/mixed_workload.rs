@@ -8,7 +8,7 @@ use csv_common::key::identity_records;
 use csv_common::sync::{AtomicUsize, Ordering};
 use csv_common::traits::{LearnedIndex, RangeIndex, RemovableIndex};
 use csv_common::KeyValue;
-use csv_concurrent::{OverlayRepr, ReadPath, ShardedIndex, ShardingConfig, WriteOp};
+use csv_concurrent::{ShardedIndex, ShardingConfig, WriteOp};
 use csv_core::{CsvConfig, CsvOptimizer};
 use csv_datasets::{
     Dataset, MixedWorkload, MixedWorkloadSpec, Operation, OperationMix, Popularity,
@@ -40,7 +40,7 @@ fn replay<I: LearnedIndex + RangeIndex + RemovableIndex>(
 }
 
 /// The same replay against the sharded wrapper, whose mutating operations
-/// go through shared references (per-shard locks or RCU publications).
+/// go through shared references (RCU publications).
 fn replay_sharded(index: &ShardedIndex<LippIndex>, workload: &MixedWorkload) -> usize {
     let mut touched = 0usize;
     for op in &workload.operations {
@@ -145,51 +145,25 @@ fn bench_mixed_workload(c: &mut Criterion) {
                 criterion::BatchSize::LargeInput,
             );
         });
-        // The sharded wrapper across its concurrency A/B knobs: what a
-        // single-threaded mixed stream pays for the locked layout vs. the
-        // RCU copy-on-write one, and — within RCU — for the flat-vec
-        // overlay (every write clones up to `overlay_capacity` entries)
-        // vs. the persistent structurally shared one (every write copies
-        // one chunk path). The flat row keeps its PR-4 capacity (512) and
-        // the persistent rows use the raised default (4096) plus a
-        // 512-capacity row that isolates the representation change from
-        // the capacity change.
-        let sharded_configs = [
-            (
-                "lipp_sharded_locked",
-                ShardingConfig::with_shards(16).with_read_path(ReadPath::Locked),
-            ),
-            (
-                "lipp_sharded_rcu_vec",
-                ShardingConfig::with_shards(16)
-                    .with_read_path(ReadPath::Rcu)
-                    .with_overlay(OverlayRepr::Vec),
-            ),
-            (
-                "lipp_sharded_rcu_pmap512",
-                ShardingConfig::with_shards(16)
-                    .with_read_path(ReadPath::Rcu)
-                    .with_overlay(OverlayRepr::Persistent)
-                    .with_overlay_capacity(512),
-            ),
-            (
-                "lipp_sharded_rcu_pmap",
-                ShardingConfig::with_shards(16)
-                    .with_read_path(ReadPath::Rcu)
-                    .with_overlay(OverlayRepr::Persistent),
-            ),
-        ];
-        for (row_name, config) in sharded_configs {
-            group.bench_with_input(BenchmarkId::new(row_name, mix_name), &workload, |b, wl| {
+        // The sharded wrapper: what a single-threaded mixed stream pays
+        // for RCU copy-on-write snapshots over the persistent overlay.
+        group.bench_with_input(
+            BenchmarkId::new("lipp_sharded_rcu_pmap", mix_name),
+            &workload,
+            |b, wl| {
                 b.iter_batched(
-                    || ShardedIndex::<LippIndex>::bulk_load(&records, config),
+                    || {
+                        ShardedIndex::<LippIndex>::bulk_load(
+                            &records,
+                            ShardingConfig::with_shards(16),
+                        )
+                    },
                     |index| black_box(replay_sharded(&index, wl)),
                     criterion::BatchSize::LargeInput,
                 );
-            });
-        }
-        // The group-committed write path (PR 8): the default RCU/pmap row
-        // again, but writes grouped into `WRITE_BATCH`-op `write_batch`
+            },
+        );
+        // The group-committed write path: the row above again, but writes grouped into `WRITE_BATCH`-op `write_batch`
         // calls — one overlay update and one publication per touched shard
         // per group instead of one of each per write.
         group.bench_with_input(
@@ -200,9 +174,7 @@ fn bench_mixed_workload(c: &mut Criterion) {
                     || {
                         ShardedIndex::<LippIndex>::bulk_load(
                             &records,
-                            ShardingConfig::with_shards(16)
-                                .with_read_path(ReadPath::Rcu)
-                                .with_overlay(OverlayRepr::Persistent),
+                            ShardingConfig::with_shards(16),
                         )
                     },
                     |index| black_box(replay_sharded_batched(&index, wl)),
@@ -210,7 +182,7 @@ fn bench_mixed_workload(c: &mut Criterion) {
                 );
             },
         );
-        // WAL-append overhead: the default RCU/pmap row again, but with
+        // WAL-append overhead: the sharded row again, but with
         // the per-shard checkpoint + WAL sink attached (fsync off, so the
         // delta is serialisation + page-cache appends, not disk stalls).
         // Compare against `lipp_sharded_rcu_pmap` to price durability.
@@ -229,9 +201,7 @@ fn bench_mixed_workload(c: &mut Criterion) {
                         );
                         ShardedIndex::<LippIndex>::bulk_load_durable(
                             &records,
-                            ShardingConfig::with_shards(16)
-                                .with_read_path(ReadPath::Rcu)
-                                .with_overlay(OverlayRepr::Persistent),
+                            ShardingConfig::with_shards(16),
                             sink,
                         )
                     },
@@ -259,9 +229,7 @@ fn bench_mixed_workload(c: &mut Criterion) {
                         );
                         ShardedIndex::<LippIndex>::bulk_load_durable(
                             &records,
-                            ShardingConfig::with_shards(16)
-                                .with_read_path(ReadPath::Rcu)
-                                .with_overlay(OverlayRepr::Persistent),
+                            ShardingConfig::with_shards(16),
                             sink,
                         )
                     },
@@ -310,19 +278,14 @@ fn bench_recovery(c: &mut Criterion) {
     let records = identity_records(&keys);
     // An overlay deeper than the logged tail: none of the post-checkpoint
     // writes fold, so they all stay in the WAL for replay.
-    let sharding = || {
-        ShardingConfig::with_shards(16)
-            .with_read_path(ReadPath::Rcu)
-            .with_overlay(OverlayRepr::Persistent)
-            .with_overlay_capacity(2 * OPS)
-    };
+    let sharding = ShardingConfig::with_shards(16).with_overlay_capacity(2 * OPS);
     let build_master = |logged: usize| -> PathBuf {
         let dir = fresh_store_dir("master");
         let sink = Arc::new(
             FileSink::create(DurabilityConfig::new(&dir).with_fsync(FsyncPolicy::Never))
                 .expect("fresh bench store"),
         );
-        let index = ShardedIndex::<LippIndex>::bulk_load_durable(&records, sharding(), sink);
+        let index = ShardedIndex::<LippIndex>::bulk_load_durable(&records, sharding, sink);
         let base = *keys.last().unwrap() + 1;
         for i in 0..logged as u64 {
             index.insert(base + i, i);
@@ -346,7 +309,7 @@ fn bench_recovery(c: &mut Criterion) {
                     dir
                 },
                 |dir| {
-                    let recovered = recover::<LippIndex>(DurabilityConfig::new(&dir), sharding())
+                    let recovered = recover::<LippIndex>(DurabilityConfig::new(&dir), sharding)
                         .expect("bench store must recover");
                     black_box(recovered.report.replayed())
                 },
@@ -358,14 +321,13 @@ fn bench_recovery(c: &mut Criterion) {
     std::fs::remove_dir_all(store_root()).ok();
 }
 
-/// The isolated tentpole measurement: RCU point-write cost at *full*
-/// overlay occupancy, where the representations actually diverge. The
-/// mixed rows above rarely fill an overlay (a 20k-op YCSB-B run spreads
-/// ~60 writes per shard), so their per-write copy term is dominated by
-/// snapshot-publication overhead. Here a single shard's overlay is
-/// pre-filled to `capacity` entries and every measured write overwrites an
-/// overlay slot without folding: the flat vec clones all `capacity`
-/// entries per write, the persistent map copies one chunk path.
+/// The isolated write-path measurement: point-write cost at *full*
+/// overlay occupancy. The mixed rows above rarely fill an overlay (a 20k-op
+/// YCSB-B run spreads ~60 writes per shard), so their per-write copy term
+/// is dominated by snapshot-publication overhead. Here a single shard's
+/// overlay is pre-filled to `capacity` entries and every measured write
+/// overwrites an overlay slot without folding, copying one chunk path of
+/// the persistent map.
 fn bench_overlay_write_cost(c: &mut Criterion) {
     const CAPACITY: usize = 4096;
     let keys = Dataset::Osm.generate(KEYS, 5);
@@ -377,87 +339,37 @@ fn bench_overlay_write_cost(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3))
         .throughput(criterion::Throughput::Elements(CAPACITY as u64));
 
-    for (repr_name, overlay) in [
-        ("vec", OverlayRepr::Vec),
-        ("persistent", OverlayRepr::Persistent),
-    ] {
-        let index = ShardedIndex::<LippIndex>::bulk_load(
-            &records,
-            ShardingConfig::with_shards(1)
-                .with_read_path(ReadPath::Rcu)
-                .with_overlay(overlay)
-                .with_overlay_capacity(CAPACITY),
-        );
-        // Fill the overlay to capacity; the measured overwrites below keep
-        // it exactly there (an overwrite never grows the overlay, so the
-        // fold never triggers).
-        for i in 0..CAPACITY as u64 {
-            index.insert(fresh_base + i, i);
-        }
-        let mut bump = 0u64;
-        group.bench_function(repr_name, |b| {
-            b.iter(|| {
-                bump += 1;
-                for i in 0..CAPACITY as u64 {
-                    black_box(index.insert(fresh_base + i, bump));
-                }
-            });
-        });
+    let index = ShardedIndex::<LippIndex>::bulk_load(
+        &records,
+        ShardingConfig::with_shards(1).with_overlay_capacity(CAPACITY),
+    );
+    // Fill the overlay to capacity; the measured overwrites below keep it
+    // exactly there (an overwrite never grows the overlay, so the fold never
+    // triggers).
+    for i in 0..CAPACITY as u64 {
+        index.insert(fresh_base + i, i);
     }
-    // The locked path's cost for the same op stream, as the baseline the
-    // RCU write path is measured against.
-    {
-        let index = ShardedIndex::<LippIndex>::bulk_load(
-            &records,
-            ShardingConfig::with_shards(1).with_read_path(ReadPath::Locked),
-        );
-        for i in 0..CAPACITY as u64 {
-            index.insert(fresh_base + i, i);
-        }
-        let mut bump = 0u64;
-        group.bench_function("locked", |b| {
-            b.iter(|| {
-                bump += 1;
-                for i in 0..CAPACITY as u64 {
-                    black_box(index.insert(fresh_base + i, bump));
-                }
-            });
+    let mut bump = 0u64;
+    group.bench_function("persistent", |b| {
+        b.iter(|| {
+            bump += 1;
+            for i in 0..CAPACITY as u64 {
+                black_box(index.insert(fresh_base + i, bump));
+            }
         });
-    }
-    // The group-committed write path (PR 8) over the identical overwrite
-    // stream: the same `CAPACITY` writes per iteration, grouped into
-    // `insert_batch` calls of 1/16/64/256 ops. On the RCU path a group is
-    // one overlay pass and one publication, so the per-write amortised
-    // cost should fall toward the locked baseline as the batch grows; the
-    // batch-1 rows price the batch API's fixed overhead against the point
-    // rows above.
-    for (repr_name, config) in [
-        (
-            "vec_batched",
-            ShardingConfig::with_shards(1)
-                .with_read_path(ReadPath::Rcu)
-                .with_overlay(OverlayRepr::Vec)
-                .with_overlay_capacity(CAPACITY),
-        ),
-        (
-            "persistent_batched",
-            ShardingConfig::with_shards(1)
-                .with_read_path(ReadPath::Rcu)
-                .with_overlay(OverlayRepr::Persistent)
-                .with_overlay_capacity(CAPACITY),
-        ),
-        (
-            "locked_batched",
-            ShardingConfig::with_shards(1).with_read_path(ReadPath::Locked),
-        ),
-    ] {
-        let index = ShardedIndex::<LippIndex>::bulk_load(&records, config);
-        for i in 0..CAPACITY as u64 {
-            index.insert(fresh_base + i, i);
-        }
-        for batch in [1usize, 16, 64, 256] {
-            let mut bump = 0u64;
-            group.bench_with_input(BenchmarkId::new(repr_name, batch), &batch, |b, &batch| {
+    });
+    // The group-committed write path over the identical overwrite stream:
+    // the same `CAPACITY` writes per iteration, grouped into `insert_batch`
+    // calls of 1/16/64/256 ops. A group is one overlay pass and one
+    // publication, so the per-write amortised cost falls as the batch
+    // grows; the batch-1 rows price the batch API's fixed overhead against
+    // the point row above.
+    for batch in [1usize, 16, 64, 256] {
+        let mut bump = 0u64;
+        group.bench_with_input(
+            BenchmarkId::new("persistent_batched", batch),
+            &batch,
+            |b, &batch| {
                 let mut buffer: Vec<KeyValue> = Vec::with_capacity(batch);
                 b.iter(|| {
                     bump += 1;
@@ -468,8 +380,8 @@ fn bench_overlay_write_cost(c: &mut Criterion) {
                         black_box(index.insert_batch(&buffer));
                     }
                 });
-            });
-        }
+            },
+        );
     }
     group.finish();
 }
@@ -489,12 +401,7 @@ fn bench_scan_cost(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
 
-    let sharded = ShardedIndex::<LippIndex>::bulk_load(
-        &records,
-        ShardingConfig::with_shards(16)
-            .with_read_path(ReadPath::Rcu)
-            .with_overlay(OverlayRepr::Persistent),
-    );
+    let sharded = ShardedIndex::<LippIndex>::bulk_load(&records, ShardingConfig::with_shards(16));
     // Dirty the overlays (upserts and tombstones) without triggering the
     // fold, so scans run the merge-join rather than the base fast path.
     for &k in keys.iter().step_by(61) {

@@ -3,9 +3,9 @@
 //! The serving front-end turns a `MultiGet` frame into one
 //! `ShardedIndex::multi_get` call, which routes the whole batch first
 //! (shard-partitioning the keys) and then resolves each shard's slice in
-//! one visit — amortising shard routing and, on the RCU path, snapshot
-//! acquisition across the batch. This benchmark measures that amortisation
-//! directly, per read path and batch size, against the loop-of-gets a
+//! one visit — amortising shard routing and snapshot acquisition across the
+//! batch. This benchmark measures that amortisation directly, per batch
+//! size, against the loop-of-gets a
 //! naive server would run. The pinned-`ReadView` rows show the zero-atomic
 //! fast path a server worker actually uses between re-pins.
 //!
@@ -14,7 +14,7 @@
 //! better than six criterion groups.
 
 use csv_common::key::identity_records;
-use csv_concurrent::{ReadPath, ShardedIndex, ShardingConfig};
+use csv_concurrent::{ShardedIndex, ShardingConfig};
 use csv_core::{CsvConfig, CsvOptimizer};
 use csv_datasets::{Dataset, Zipfian};
 use csv_lipp::LippIndex;
@@ -42,66 +42,55 @@ fn main() {
         "multi_get: {KEYS} OSM keys, LIPP x16 shards, alpha 0.1, {TOTAL_LOOKUPS} Zipfian lookups per cell"
     );
     println!(
-        "{:<8} {:<6} {:>15} {:>15} {:>15} {:>8}",
-        "path", "batch", "loop-get (k/s)", "multi_get (k/s)", "view-multi (k/s)", "speedup"
+        "{:<6} {:>15} {:>15} {:>15} {:>8}",
+        "batch", "loop-get (k/s)", "multi_get (k/s)", "view-multi (k/s)", "speedup"
     );
 
-    for read_path in [ReadPath::Locked, ReadPath::Rcu] {
-        let index = ShardedIndex::<LippIndex>::bulk_load(
-            &records,
-            ShardingConfig::with_shards(16).with_read_path(read_path),
-        );
-        index.optimize(&CsvOptimizer::new(CsvConfig::for_lipp(0.1)));
+    let index = ShardedIndex::<LippIndex>::bulk_load(&records, ShardingConfig::with_shards(16));
+    index.optimize(&CsvOptimizer::new(CsvConfig::for_lipp(0.1)));
+    let view = index.read_view().expect("read_view is always Some");
 
-        for batch in BATCH_SIZES {
-            let batches: Vec<&[u64]> = queries.chunks_exact(batch).collect();
-            let total = batches.len() * batch;
+    for batch in BATCH_SIZES {
+        let batches: Vec<&[u64]> = queries.chunks_exact(batch).collect();
+        let total = batches.len() * batch;
 
-            let started = Instant::now();
-            let mut hits = 0usize;
-            for chunk in &batches {
-                for &k in *chunk {
-                    hits += usize::from(index.get(k).is_some());
-                }
+        let started = Instant::now();
+        let mut hits = 0usize;
+        for chunk in &batches {
+            for &k in *chunk {
+                hits += usize::from(index.get(k).is_some());
             }
-            let loop_rate = keys_per_sec(total, started.elapsed());
-
-            let started = Instant::now();
-            let mut batched_hits = 0usize;
-            for chunk in &batches {
-                batched_hits += index
-                    .multi_get(chunk)
-                    .iter()
-                    .filter(|v| v.is_some())
-                    .count();
-            }
-            let multi_rate = keys_per_sec(total, started.elapsed());
-            assert_eq!(hits, batched_hits, "multi_get must agree with get");
-
-            // The server worker's fast path: resolve against a pinned
-            // ReadView (RCU only — the locked path has no snapshots).
-            let view_rate = index.read_view().map(|view| {
-                let started = Instant::now();
-                let mut view_hits = 0usize;
-                for chunk in &batches {
-                    view_hits += view.multi_get(chunk).iter().filter(|v| v.is_some()).count();
-                }
-                assert_eq!(view_hits, hits, "the pinned view must agree too");
-                keys_per_sec(total, started.elapsed())
-            });
-
-            println!(
-                "{:<8} {:<6} {:>15.0} {:>15.0} {:>15} {:>7.2}x",
-                match read_path {
-                    ReadPath::Locked => "locked",
-                    ReadPath::Rcu => "rcu",
-                },
-                batch,
-                loop_rate,
-                multi_rate,
-                view_rate.map_or_else(|| "-".to_string(), |r| format!("{r:.0}")),
-                multi_rate / loop_rate,
-            );
         }
+        let loop_rate = keys_per_sec(total, started.elapsed());
+
+        let started = Instant::now();
+        let mut batched_hits = 0usize;
+        for chunk in &batches {
+            batched_hits += index
+                .multi_get(chunk)
+                .iter()
+                .filter(|v| v.is_some())
+                .count();
+        }
+        let multi_rate = keys_per_sec(total, started.elapsed());
+        assert_eq!(hits, batched_hits, "multi_get must agree with get");
+
+        // The server worker's fast path: resolve against a pinned ReadView.
+        let started = Instant::now();
+        let mut view_hits = 0usize;
+        for chunk in &batches {
+            view_hits += view.multi_get(chunk).iter().filter(|v| v.is_some()).count();
+        }
+        assert_eq!(view_hits, hits, "the pinned view must agree too");
+        let view_rate = keys_per_sec(total, started.elapsed());
+
+        println!(
+            "{:<6} {:>15.0} {:>15.0} {:>15.0} {:>7.2}x",
+            batch,
+            loop_rate,
+            multi_rate,
+            view_rate,
+            multi_rate / loop_rate,
+        );
     }
 }

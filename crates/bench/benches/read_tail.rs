@@ -1,17 +1,14 @@
-//! Read-tail latency under active maintenance: the acceptance benchmark for
-//! the RCU read path.
+//! Read-tail latency under active maintenance.
 //!
 //! A sharded, CSV-optimised LIPP index serves point lookups from the main
 //! thread while (a) a writer thread streams fresh inserts — continuously
 //! re-dirtying shards so the maintenance engine has real work — and (b) the
 //! engine-owned background thread splits/merges/re-smooths. The lookup
-//! latency distribution (p50/p99/p99.9) is recorded for each read path,
-//! with and without the engine running. On the locked path maintenance's
-//! apply phase and splits hold locks readers must wait for; on the RCU path
-//! they publish copy-on-write snapshots, so the read tail should not
-//! inherit maintenance pauses (on the single-core container the comparison
-//! still includes plain CPU competition — run on a multicore host for the
-//! isolation the design provides).
+//! latency distribution (p50/p99/p99.9) is recorded with and without the
+//! engine running. Maintenance publishes copy-on-write snapshots, so the
+//! read tail should not inherit maintenance pauses (on a single core the
+//! comparison still includes plain CPU competition — run on a multicore
+//! host for the isolation the design provides).
 //!
 //! Hand-rolled harness (no criterion): tail percentiles need per-operation
 //! timestamps, not aggregate iteration timing.
@@ -19,9 +16,7 @@
 use csv_common::key::identity_records;
 use csv_common::sync::{AtomicBool, Ordering};
 use csv_common::LatencyHistogram;
-use csv_concurrent::{
-    MaintenanceConfig, MaintenanceEngine, OverlayRepr, ReadPath, ShardedIndex, ShardingConfig,
-};
+use csv_concurrent::{MaintenanceConfig, MaintenanceEngine, ShardedIndex, ShardingConfig};
 use csv_core::{CsvConfig, CsvOptimizer};
 use csv_datasets::{Dataset, ReadOnlyWorkload};
 use csv_lipp::LippIndex;
@@ -31,7 +26,6 @@ const KEYS: usize = 200_000;
 const LOOKUPS: usize = 200_000;
 
 struct Row {
-    label: &'static str,
     maintained: bool,
     lookups: LatencyHistogram,
     passes: usize,
@@ -40,15 +34,12 @@ struct Row {
     shards: usize,
 }
 
-fn run_one(
-    records: &[csv_common::KeyValue],
-    queries: &[u64],
-    label: &'static str,
-    config: ShardingConfig,
-    maintain: bool,
-) -> Row {
+fn run_one(records: &[csv_common::KeyValue], queries: &[u64], maintain: bool) -> Row {
     let optimizer = CsvOptimizer::new(CsvConfig::for_lipp(0.1));
-    let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load(records, config));
+    let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load(
+        records,
+        ShardingConfig::with_shards(16),
+    ));
     index.optimize(&optimizer);
 
     let engine = MaintenanceEngine::new(optimizer, MaintenanceConfig::default());
@@ -81,7 +72,6 @@ fn run_one(
 
     let stats = handle.map(|h| h.stop()).unwrap_or_default();
     Row {
-        label,
         maintained: maintain,
         lookups,
         passes: stats.maintain_passes,
@@ -100,42 +90,21 @@ fn main() {
         "read_tail: {KEYS} OSM keys, LIPP x16 shards, alpha 0.1, {LOOKUPS} lookups vs a continuous insert stream"
     );
     println!(
-        "{:<10} {:<12} {:>9} {:>9} {:>9} {:>22}",
-        "path", "maintenance", "p50(ns)", "p99(ns)", "p99.9(ns)", "engine (passes/sp/me)"
+        "{:<12} {:>9} {:>9} {:>9} {:>22}",
+        "maintenance", "p50(ns)", "p99(ns)", "p99.9(ns)", "engine (passes/sp/me)"
     );
-    // The locked baseline plus the RCU path under both overlay
-    // representations: the overlay is a write-side knob, but a bigger
-    // persistent overlay also shifts the read tail (deeper overlay probes,
-    // far rarer folds).
-    let base = ShardingConfig::with_shards(16);
-    let configs = [
-        ("locked", base.with_read_path(ReadPath::Locked)),
-        (
-            "rcu/vec",
-            base.with_read_path(ReadPath::Rcu)
-                .with_overlay(OverlayRepr::Vec),
-        ),
-        (
-            "rcu/pmap",
-            base.with_read_path(ReadPath::Rcu)
-                .with_overlay(OverlayRepr::Persistent),
-        ),
-    ];
-    for (label, config) in configs {
-        for maintain in [false, true] {
-            let row = run_one(&records, &queries, label, config, maintain);
-            println!(
-                "{:<10} {:<12} {:>9} {:>9} {:>9} {:>14}/{}/{} ({} shards)",
-                row.label,
-                if row.maintained { "background" } else { "off" },
-                row.lookups.p50_ns(),
-                row.lookups.p99_ns(),
-                row.lookups.quantile_ns(0.999),
-                row.passes,
-                row.splits,
-                row.merges,
-                row.shards,
-            );
-        }
+    for maintain in [false, true] {
+        let row = run_one(&records, &queries, maintain);
+        println!(
+            "{:<12} {:>9} {:>9} {:>9} {:>14}/{}/{} ({} shards)",
+            if row.maintained { "background" } else { "off" },
+            row.lookups.p50_ns(),
+            row.lookups.p99_ns(),
+            row.lookups.quantile_ns(0.999),
+            row.passes,
+            row.splits,
+            row.merges,
+            row.shards,
+        );
     }
 }

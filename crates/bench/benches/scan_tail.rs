@@ -5,14 +5,13 @@
 //! continuously re-dirtying shards so scans cross live overlays and the
 //! fold keeps firing — and (b) the engine-owned background thread
 //! splits/merges/re-smooths. Each scan's latency lands in a
-//! p50/p99/p99.9 histogram, for the locked baseline and the RCU path,
-//! each measured twice: materialised (`range`, allocate a `Vec` per scan)
-//! and streaming (`range_visit`, fold into an accumulator, zero
-//! allocation). The streaming rows should shave the median (no
-//! allocator on the hot path) and the RCU rows should keep maintenance
-//! pauses out of the tail (on a single-core container the comparison
-//! still includes plain CPU competition — run on a multicore host for
-//! the isolation the design provides).
+//! p50/p99/p99.9 histogram, measured twice: materialised (`range`,
+//! allocate a `Vec` per scan) and streaming (`range_visit`, fold into an
+//! accumulator, zero allocation). The streaming row should shave the
+//! median (no allocator on the hot path) and keep allocator stalls out of
+//! the tail (on a single core the comparison still includes plain CPU
+//! competition — run on a multicore host for the isolation the design
+//! provides).
 //!
 //! Hand-rolled harness (no criterion): tail percentiles need
 //! per-operation timestamps, not aggregate iteration timing.
@@ -20,9 +19,7 @@
 use csv_common::key::identity_records;
 use csv_common::sync::{AtomicBool, Ordering};
 use csv_common::LatencyHistogram;
-use csv_concurrent::{
-    MaintenanceConfig, MaintenanceEngine, OverlayRepr, ReadPath, ShardedIndex, ShardingConfig,
-};
+use csv_concurrent::{MaintenanceConfig, MaintenanceEngine, ShardedIndex, ShardingConfig};
 use csv_core::{CsvConfig, CsvOptimizer};
 use csv_datasets::Dataset;
 use csv_lipp::LippIndex;
@@ -34,22 +31,18 @@ const SCANS: usize = 20_000;
 const WIDTH: usize = 100;
 
 struct Row {
-    path: &'static str,
     mode: &'static str,
     scans: LatencyHistogram,
     passes: usize,
     shards: usize,
 }
 
-fn run_one(
-    records: &[csv_common::KeyValue],
-    windows: &[(u64, u64)],
-    path: &'static str,
-    config: ShardingConfig,
-    streaming: bool,
-) -> Row {
+fn run_one(records: &[csv_common::KeyValue], windows: &[(u64, u64)], streaming: bool) -> Row {
     let optimizer = CsvOptimizer::new(CsvConfig::for_lipp(0.1));
-    let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load(records, config));
+    let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load(
+        records,
+        ShardingConfig::with_shards(16),
+    ));
     index.optimize(&optimizer);
 
     let engine = MaintenanceEngine::new(optimizer, MaintenanceConfig::default());
@@ -90,7 +83,6 @@ fn run_one(
 
     let stats = handle.stop();
     Row {
-        path,
         mode: if streaming {
             "streaming"
         } else {
@@ -119,31 +111,19 @@ fn main() {
         "scan_tail: {KEYS} OSM keys, LIPP x16 shards, alpha 0.1, {SCANS} {WIDTH}-record scans vs a continuous insert stream + background maintenance"
     );
     println!(
-        "{:<10} {:<14} {:>9} {:>9} {:>9} {:>16}",
-        "path", "mode", "p50(ns)", "p99(ns)", "p99.9(ns)", "engine passes"
+        "{:<14} {:>9} {:>9} {:>9} {:>16}",
+        "mode", "p50(ns)", "p99(ns)", "p99.9(ns)", "engine passes"
     );
-    let base = ShardingConfig::with_shards(16);
-    let configs = [
-        ("locked", base.with_read_path(ReadPath::Locked)),
-        (
-            "rcu/pmap",
-            base.with_read_path(ReadPath::Rcu)
-                .with_overlay(OverlayRepr::Persistent),
-        ),
-    ];
-    for (path, config) in configs {
-        for streaming in [false, true] {
-            let row = run_one(&records, &windows, path, config, streaming);
-            println!(
-                "{:<10} {:<14} {:>9} {:>9} {:>9} {:>16} ({} shards)",
-                row.path,
-                row.mode,
-                row.scans.p50_ns(),
-                row.scans.p99_ns(),
-                row.scans.quantile_ns(0.999),
-                row.passes,
-                row.shards,
-            );
-        }
+    for streaming in [false, true] {
+        let row = run_one(&records, &windows, streaming);
+        println!(
+            "{:<14} {:>9} {:>9} {:>9} {:>16} ({} shards)",
+            row.mode,
+            row.scans.p50_ns(),
+            row.scans.p99_ns(),
+            row.scans.quantile_ns(0.999),
+            row.passes,
+            row.shards,
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Hand-rolled argument parsing for the `csv-index` tool (no external
 //! dependencies beyond the workspace crates).
 
-use csv_concurrent::{OverlayRepr, ReadPath};
+use csv_concurrent::ShardingConfig;
 use csv_core::GreedyMode;
 use csv_datasets::Dataset;
 use std::fmt;
@@ -143,20 +143,11 @@ pub struct CliArgs {
     /// once interleaved with background maintenance ticks, once without —
     /// and report the lookup-latency comparison.
     pub maintain: bool,
-    /// Which concurrency scheme the sharded index in `--maintain` mode
-    /// serves lookups with: lock-free RCU snapshots (default) or the
-    /// classic per-shard reader–writer locks, for A/B comparisons.
-    pub read_path: ReadPath,
-    /// RCU path only: which representation shard snapshots buffer pending
-    /// writes in — the structurally shared persistent map (default) or the
-    /// flat vector baseline, for write-cost A/B comparisons.
-    pub overlay: OverlayRepr,
     /// Shard count for the sharded index in `--maintain`/`--recover` modes.
     pub shards: usize,
-    /// RCU path only: how many buffered writes a shard snapshot holds
-    /// before folding into its base index (`None` keeps the sharding
-    /// default).
-    pub overlay_capacity: Option<usize>,
+    /// How many buffered writes a shard snapshot holds before folding into
+    /// its base index.
+    pub overlay_capacity: usize,
     /// Directory backing the durable store (`--durability` creates it,
     /// `--recover` reads it).
     pub data_dir: Option<PathBuf>,
@@ -192,10 +183,8 @@ impl Default for CliArgs {
             drift_tolerance: 0.0,
             dry_run: false,
             maintain: false,
-            read_path: ReadPath::default(),
-            overlay: OverlayRepr::default(),
             shards: 16,
-            overlay_capacity: None,
+            overlay_capacity: ShardingConfig::default().overlay_capacity,
             data_dir: None,
             durability: false,
             recover: false,
@@ -213,8 +202,8 @@ impl CliArgs {
          \u{20}         [--dataset-file PATH.sosd] [--size N] [--alpha A] [--threads T]\n\
          \u{20}         [--greedy lazy|rescan] [--drift-tolerance D]\n\
          \u{20}         [--workload read-only|ycsb-a|ycsb-b|ycsb-e|churn]\n\
-         \u{20}         [--ops N] [--seed S] [--dry-run] [--maintain] [--read-path locked|rcu]\n\
-         \u{20}         [--overlay vec|persistent] [--shards N] [--overlay-capacity N]\n\
+         \u{20}         [--ops N] [--seed S] [--dry-run] [--maintain]\n\
+         \u{20}         [--shards N] [--overlay-capacity N]\n\
          \u{20}         [--data-dir PATH] [--durability] [--recover]\n\
          \u{20}         [--serve] [--port P] [--workers W]\n\
          \n\
@@ -228,12 +217,9 @@ impl CliArgs {
          against the un-rebuilt structure, so a real run can decide those levels differently).\n\
          With --maintain the workload runs over the sharded index twice — interleaved with\n\
          background maintenance ticks, then without — and the lookup-latency comparison\n\
-         (p50/p99) is reported alongside the usual output; --read-path picks the sharded\n\
-         index's concurrency scheme (lock-free rcu snapshots, the default, or the locked\n\
-         baseline), --overlay the rcu snapshots' pending-write buffer (the structurally\n\
-         shared persistent map, the default, or the flat vec baseline) for A/B comparisons,\n\
-         --shards the shard count and --overlay-capacity the per-snapshot fold threshold.\n\
-         With --durability (requires --maintain, --data-dir and the rcu read path) the\n\
+         (p50/p99) is reported alongside the usual output; --shards sets the sharded\n\
+         index's shard count and --overlay-capacity its per-snapshot fold threshold.\n\
+         With --durability (requires --maintain and --data-dir) the\n\
          maintained run persists every acknowledged write through per-shard checkpoints\n\
          plus a write-ahead log in --data-dir; --recover (requires --data-dir) rebuilds\n\
          the index from such a store, reports recovery time and replayed-record counts,\n\
@@ -242,8 +228,8 @@ impl CliArgs {
          on --port (default 4711) by --workers thread-per-core workers (default: one per\n\
          core) with the maintenance engine ticking behind the socket, until a client\n\
          sends the protocol's Shutdown operation (csv-loadgen --shutdown does). --serve\n\
-         is standalone (no --dry-run/--maintain/--recover) and honours --read-path,\n\
-         --overlay, --shards, --overlay-capacity and --durability."
+         is standalone (no --dry-run/--maintain/--recover) and honours --shards,\n\
+         --overlay-capacity and --durability."
     }
 
     /// Parses `--flag value` style arguments (anything after the program
@@ -298,7 +284,7 @@ impl CliArgs {
                     if capacity == 0 {
                         return Err(CliError::new("--overlay-capacity must be at least 1"));
                     }
-                    out.overlay_capacity = Some(capacity);
+                    out.overlay_capacity = capacity;
                 }
                 "--data-dir" => out.data_dir = Some(PathBuf::from(value)),
                 "--port" => {
@@ -343,28 +329,6 @@ impl CliArgs {
                     }
                 }
                 "--workload" => out.workload = WorkloadChoice::parse(value)?,
-                "--read-path" => {
-                    out.read_path = match value.to_ascii_lowercase().as_str() {
-                        "locked" => ReadPath::Locked,
-                        "rcu" => ReadPath::Rcu,
-                        other => {
-                            return Err(CliError::new(format!(
-                                "unknown read path '{other}' (expected locked|rcu)"
-                            )))
-                        }
-                    }
-                }
-                "--overlay" => {
-                    out.overlay = match value.to_ascii_lowercase().as_str() {
-                        "vec" => OverlayRepr::Vec,
-                        "persistent" | "pmap" => OverlayRepr::Persistent,
-                        other => {
-                            return Err(CliError::new(format!(
-                                "unknown overlay representation '{other}' (expected vec|persistent)"
-                            )))
-                        }
-                    }
-                }
                 other => {
                     return Err(CliError::new(format!(
                         "unknown flag '{other}'\n\n{}",
@@ -398,11 +362,6 @@ impl CliArgs {
                     "--durability requires --data-dir to place the store in",
                 ));
             }
-            if out.read_path != ReadPath::Rcu {
-                return Err(CliError::new(
-                    "--durability requires --read-path rcu (checkpoints ride the RCU fold points)",
-                ));
-            }
         }
         if out.recover {
             if out.data_dir.is_none() {
@@ -413,11 +372,6 @@ impl CliArgs {
             if out.maintain || out.dry_run {
                 return Err(CliError::new(
                     "--recover is a standalone mode (drop --maintain/--dry-run)",
-                ));
-            }
-            if out.read_path != ReadPath::Rcu {
-                return Err(CliError::new(
-                    "--recover serves the recovered index on the rcu read path (drop --read-path locked)",
                 ));
             }
         }
@@ -595,40 +549,6 @@ mod tests {
     }
 
     #[test]
-    fn read_path_parses_and_validates() {
-        assert_eq!(parse(&[]).unwrap().read_path, ReadPath::Rcu);
-        assert_eq!(
-            parse(&["--read-path", "locked"]).unwrap().read_path,
-            ReadPath::Locked
-        );
-        assert_eq!(
-            parse(&["--read-path", "RCU"]).unwrap().read_path,
-            ReadPath::Rcu
-        );
-        assert!(parse(&["--read-path", "lockfree"])
-            .unwrap_err()
-            .message
-            .contains("locked|rcu"));
-    }
-
-    #[test]
-    fn overlay_parses_and_validates() {
-        assert_eq!(parse(&[]).unwrap().overlay, OverlayRepr::Persistent);
-        assert_eq!(
-            parse(&["--overlay", "vec"]).unwrap().overlay,
-            OverlayRepr::Vec
-        );
-        assert_eq!(
-            parse(&["--overlay", "PERSISTENT"]).unwrap().overlay,
-            OverlayRepr::Persistent
-        );
-        assert!(parse(&["--overlay", "btree"])
-            .unwrap_err()
-            .message
-            .contains("vec|persistent"));
-    }
-
-    #[test]
     fn drift_tolerance_parses_and_validates() {
         assert_eq!(parse(&[]).unwrap().drift_tolerance, 0.0);
         assert!(
@@ -675,12 +595,12 @@ mod tests {
             .unwrap_err()
             .message
             .contains("at least 1"));
-        assert_eq!(parse(&[]).unwrap().overlay_capacity, None);
+        assert_eq!(parse(&[]).unwrap().overlay_capacity, 4096);
         assert_eq!(
             parse(&["--overlay-capacity", "64"])
                 .unwrap()
                 .overlay_capacity,
-            Some(64)
+            64
         );
         assert!(parse(&["--overlay-capacity", "0"])
             .unwrap_err()
@@ -705,17 +625,6 @@ mod tests {
             .unwrap_err()
             .message
             .contains("--data-dir"));
-        assert!(parse(&[
-            "--durability",
-            "--maintain",
-            "--data-dir",
-            "/tmp/store",
-            "--read-path",
-            "locked"
-        ])
-        .unwrap_err()
-        .message
-        .contains("rcu"));
     }
 
     #[test]
@@ -767,10 +676,10 @@ mod tests {
         // --durability accepts --serve as its host mode.
         let args = parse(&["--serve", "--durability", "--data-dir", "/tmp/x"]).unwrap();
         assert!(args.durability && args.serve);
-        // --serve composes with the sharding/read-path knobs.
-        let args = parse(&["--serve", "--read-path", "locked", "--shards", "8"]).unwrap();
-        assert_eq!(args.read_path, ReadPath::Locked);
+        // --serve composes with the sharding knobs.
+        let args = parse(&["--serve", "--shards", "8", "--overlay-capacity", "64"]).unwrap();
         assert_eq!(args.shards, 8);
+        assert_eq!(args.overlay_capacity, 64);
     }
 
     #[test]
@@ -793,15 +702,5 @@ mod tests {
                 .message
                 .contains("standalone")
         );
-        assert!(parse(&[
-            "--recover",
-            "--data-dir",
-            "/tmp/store",
-            "--read-path",
-            "locked"
-        ])
-        .unwrap_err()
-        .message
-        .contains("rcu"));
     }
 }

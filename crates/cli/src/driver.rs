@@ -9,8 +9,7 @@ use csv_common::traits::SnapshotIndex;
 use csv_common::traits::{IndexStats, LearnedIndex, RangeIndex, RemovableIndex};
 use csv_common::Key;
 use csv_concurrent::{
-    DurabilitySink, MaintenanceConfig, MaintenanceEngine, OverlayRepr, ReadPath, ShardedIndex,
-    ShardingConfig,
+    DurabilitySink, MaintenanceConfig, MaintenanceEngine, ShardedIndex, ShardingConfig,
 };
 use csv_core::cost::CostModel;
 use csv_core::{CsvConfig, CsvConfigBuilder, CsvIntegrable, CsvOptimizer, CsvReport};
@@ -68,8 +67,6 @@ pub struct ServeSummary {
     pub addr: String,
     /// Worker threads that served connections.
     pub workers: usize,
-    /// The concurrency scheme lookups were served with.
-    pub read_path: ReadPath,
     /// Connections accepted over the session.
     pub connections: u64,
     /// Operations served (batch entries count once each).
@@ -90,10 +87,9 @@ impl ServeSummary {
     /// One line summarising the serving session.
     pub fn summary_line(&self) -> String {
         format!(
-            "{} with {} workers on the {:?} read path; {} connections, {} ops, {} protocol errors; engine {} ({} passes, {} splits, {} merges)",
+            "{} with {} workers; {} connections, {} ops, {} protocol errors; engine {} ({} passes, {} splits, {} merges)",
             self.addr,
             self.workers,
-            self.read_path,
             self.connections,
             self.ops,
             self.protocol_errors,
@@ -141,11 +137,6 @@ pub struct RecoverySummary {
 /// so the structural drift shows up where it hurts.
 #[derive(Debug, Clone)]
 pub struct MaintainComparison {
-    /// The concurrency scheme the sharded index served lookups with.
-    pub read_path: ReadPath,
-    /// The overlay representation RCU shard snapshots buffered pending
-    /// writes in (ignored on the locked path, which has no overlays).
-    pub overlay: OverlayRepr,
     /// Point-lookup latencies with background maintenance running.
     pub with_maintenance: LatencyHistogram,
     /// Point-lookup latencies without any maintenance.
@@ -163,17 +154,8 @@ pub struct MaintainComparison {
 impl MaintainComparison {
     /// One line comparing the two lookup-latency distributions.
     pub fn summary_line(&self) -> String {
-        // The overlay knob only exists on the RCU path; naming it for a
-        // locked run would misreport how writes were buffered.
-        let scheme = match self.read_path {
-            ReadPath::Locked => format!("{:?} read path", self.read_path),
-            ReadPath::Rcu => format!(
-                "{:?} read path ({:?} overlay)",
-                self.read_path, self.overlay
-            ),
-        };
         format!(
-            "{scheme}; {} passes, {} splits, {} merges, {} shards; lookups with maintenance p50={}ns p99={}ns, without p50={}ns p99={}ns",
+            "{} passes, {} splits, {} merges, {} shards; lookups with maintenance p50={}ns p99={}ns, without p50={}ns p99={}ns",
             self.maintenance_passes,
             self.shard_splits,
             self.shard_merges,
@@ -456,16 +438,9 @@ fn dry_run<I: LearnedIndex + csv_core::CsvIntegrable + Sync>(
 }
 
 /// The sharded-index layout `--maintain`/`--recover` runs use, built from
-/// the CLI knobs (`--shards`, `--overlay-capacity`, `--read-path`,
-/// `--overlay`).
+/// the CLI knobs (`--shards`, `--overlay-capacity`).
 fn sharding_config(args: &CliArgs) -> ShardingConfig {
-    let mut config = ShardingConfig::with_shards(args.shards)
-        .with_read_path(args.read_path)
-        .with_overlay(args.overlay);
-    if let Some(capacity) = args.overlay_capacity {
-        config = config.with_overlay_capacity(capacity);
-    }
-    config
+    ShardingConfig::with_shards(args.shards).with_overlay_capacity(args.overlay_capacity)
 }
 
 /// `--recover`: rebuilds the sharded index from the durable store in
@@ -555,8 +530,7 @@ where
     .map_err(|e| CliError::new(format!("--serve: failed to bind port {}: {e}", args.port)))?;
     let addr = handle.local_addr().to_string();
     println!(
-        "serving: {addr} ({workers} workers, {:?} read path, {} shards, {} keys)",
-        args.read_path,
+        "serving: {addr} ({workers} workers, {} shards, {} keys)",
         sharded.num_shards(),
         keys.len()
     );
@@ -590,7 +564,6 @@ where
         serve: Some(ServeSummary {
             addr,
             workers,
-            read_path: args.read_path,
             connections: report.connections,
             ops: report.ops,
             protocol_errors: report.protocol_errors,
@@ -722,8 +695,6 @@ where
         latency: maintained.all_ops.clone(),
         plan_json: None,
         maintain: Some(MaintainComparison {
-            read_path: args.read_path,
-            overlay: args.overlay,
             with_maintenance: maintained.lookups,
             without_maintenance: unmaintained.lookups,
             maintenance_passes: maintained.passes,
@@ -940,40 +911,29 @@ mod tests {
 
     #[test]
     fn maintain_mode_reports_both_latency_distributions() {
-        for (read_path, overlay) in [
-            (ReadPath::Rcu, OverlayRepr::Persistent),
-            (ReadPath::Rcu, OverlayRepr::Vec),
-            (ReadPath::Locked, OverlayRepr::Persistent),
-        ] {
-            let args = CliArgs {
-                maintain: true,
-                read_path,
-                overlay,
-                ..small_args(IndexChoice::Lipp, WorkloadChoice::YcsbA, 0.1)
-            };
-            let summary = run(&args).unwrap();
-            let maintain = summary
-                .maintain
-                .as_ref()
-                .expect("--maintain must produce a comparison");
-            assert_eq!(maintain.read_path, read_path);
-            assert_eq!(maintain.overlay, overlay);
-            // Lookups are a strict subset of the replayed operations, and
-            // both runs replay the same workload.
-            assert!(maintain.with_maintenance.count() > 0);
-            assert_eq!(
-                maintain.with_maintenance.count(),
-                maintain.without_maintenance.count()
-            );
-            assert!(maintain.with_maintenance.count() < summary.operations as u64);
-            assert!(maintain.final_shards >= 16);
-            assert_eq!(summary.latency.count(), summary.operations as u64);
-            assert!(summary.hits > 0);
-            let rendered = summary.render();
-            assert!(rendered.contains("maintain:"));
-            assert!(rendered.contains("with maintenance p50="));
-            assert!(rendered.contains(&format!("{read_path:?} read path")));
-        }
+        let args = CliArgs {
+            maintain: true,
+            ..small_args(IndexChoice::Lipp, WorkloadChoice::YcsbA, 0.1)
+        };
+        let summary = run(&args).unwrap();
+        let maintain = summary
+            .maintain
+            .as_ref()
+            .expect("--maintain must produce a comparison");
+        // Lookups are a strict subset of the replayed operations, and
+        // both runs replay the same workload.
+        assert!(maintain.with_maintenance.count() > 0);
+        assert_eq!(
+            maintain.with_maintenance.count(),
+            maintain.without_maintenance.count()
+        );
+        assert!(maintain.with_maintenance.count() < summary.operations as u64);
+        assert!(maintain.final_shards >= 16);
+        assert_eq!(summary.latency.count(), summary.operations as u64);
+        assert!(summary.hits > 0);
+        let rendered = summary.render();
+        assert!(rendered.contains("maintain:"));
+        assert!(rendered.contains("with maintenance p50="));
     }
 
     #[test]
@@ -1142,58 +1102,55 @@ mod tests {
     /// Shutdown — after which the summary carries the serving counters.
     #[test]
     fn serve_run_serves_and_reports_on_both_read_paths() {
-        for (port, read_path) in [(47201u16, ReadPath::Rcu), (47202, ReadPath::Locked)] {
-            let args = CliArgs {
-                serve: true,
-                port,
-                workers: Some(2),
-                shards: 4,
-                read_path,
-                ..small_args(IndexChoice::Lipp, WorkloadChoice::ReadOnly, 0.1)
-            };
-            let keys = Dataset::Genome.generate(args.size, args.seed);
-            let server = std::thread::spawn(move || run(&args));
+        let port = 47201u16;
+        let args = CliArgs {
+            serve: true,
+            port,
+            workers: Some(2),
+            shards: 4,
+            ..small_args(IndexChoice::Lipp, WorkloadChoice::ReadOnly, 0.1)
+        };
+        let keys = Dataset::Genome.generate(args.size, args.seed);
+        let server = std::thread::spawn(move || run(&args));
 
-            // The server owns the calling thread; poll until it is up.
-            let addr = format!("127.0.0.1:{port}");
-            let mut client = None;
-            for _ in 0..200 {
-                match csv_server::Client::connect(&addr) {
-                    Ok(c) => {
-                        client = Some(c);
-                        break;
-                    }
-                    Err(_) => std::thread::sleep(std::time::Duration::from_millis(25)),
+        // The server owns the calling thread; poll until it is up.
+        let addr = format!("127.0.0.1:{port}");
+        let mut client = None;
+        for _ in 0..200 {
+            match csv_server::Client::connect(&addr) {
+                Ok(c) => {
+                    client = Some(c);
+                    break;
                 }
+                Err(_) => std::thread::sleep(std::time::Duration::from_millis(25)),
             }
-            let mut client = client.expect("the server must come up within five seconds");
-
-            assert_eq!(client.get(keys[42]).unwrap(), Some(keys[42]));
-            let batch = [keys[1], keys[3], keys.last().unwrap() + 1];
-            assert_eq!(
-                client.multi_get(&batch).unwrap(),
-                vec![Some(keys[1]), Some(keys[3]), None]
-            );
-            let stats = client.stats().unwrap();
-            assert_eq!(stats.keys, keys.len() as u64);
-            assert_eq!(stats.workers, 2);
-            assert_eq!(stats.rcu, read_path == ReadPath::Rcu);
-            assert!(stats.maintenance, "--serve attaches the engine");
-            assert!(stats.engine_healthy);
-
-            client.shutdown().unwrap();
-            let summary = server.join().unwrap().unwrap();
-            let serve = summary.serve.as_ref().expect("--serve fills the summary");
-            assert_eq!(serve.addr, addr);
-            assert_eq!(serve.workers, 2);
-            assert_eq!(serve.read_path, read_path);
-            assert!(serve.connections >= 1);
-            assert!(serve.ops >= 5);
-            assert_eq!(serve.protocol_errors, 0);
-            assert!(serve.engine_healthy);
-            let rendered = summary.render();
-            assert!(rendered.contains("serve:"), "{rendered}");
-            assert!(rendered.contains("engine healthy"), "{rendered}");
         }
+        let mut client = client.expect("the server must come up within five seconds");
+
+        assert_eq!(client.get(keys[42]).unwrap(), Some(keys[42]));
+        let batch = [keys[1], keys[3], keys.last().unwrap() + 1];
+        assert_eq!(
+            client.multi_get(&batch).unwrap(),
+            vec![Some(keys[1]), Some(keys[3]), None]
+        );
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.keys, keys.len() as u64);
+        assert_eq!(stats.workers, 2);
+        assert!(stats.rcu);
+        assert!(stats.maintenance, "--serve attaches the engine");
+        assert!(stats.engine_healthy);
+
+        client.shutdown().unwrap();
+        let summary = server.join().unwrap().unwrap();
+        let serve = summary.serve.as_ref().expect("--serve fills the summary");
+        assert_eq!(serve.addr, addr);
+        assert_eq!(serve.workers, 2);
+        assert!(serve.connections >= 1);
+        assert!(serve.ops >= 5);
+        assert_eq!(serve.protocol_errors, 0);
+        assert!(serve.engine_healthy);
+        let rendered = summary.render();
+        assert!(rendered.contains("serve:"), "{rendered}");
+        assert!(rendered.contains("engine healthy"), "{rendered}");
     }
 }

@@ -1,7 +1,7 @@
 //! The durability seam of the sharded index.
 //!
 //! [`ShardedIndex`](crate::ShardedIndex) itself stays storage-agnostic: when
-//! a [`DurabilitySink`] is attached (RCU path only), the write path reports
+//! a [`DurabilitySink`] is attached, the write path reports
 //! every acknowledged point write *before* publishing it, and every fold
 //! point — the overlay fold, a maintenance pass, a split/merge re-layout —
 //! hands the sink the freshly folded base to checkpoint. The file-backed

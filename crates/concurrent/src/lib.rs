@@ -5,28 +5,19 @@
 //! the paper builds on drives indexes from several threads. The
 //! single-threaded index implementations in this workspace are wrapped by
 //! [`ShardedIndex`], which partitions the key space into contiguous shards
-//! at bulk-load time and serves them through one of two read paths
-//! ([`ReadPath`]):
+//! at bulk-load time and publishes every shard as an immutable snapshot
+//! through the hand-rolled [`rcu::RcuCell`]. Point lookups perform *zero
+//! lock acquisitions*, and writers and maintenance build copy-on-write
+//! successors published with a single pointer swap, so readers never stall
+//! behind maintenance, splits or merges. Read-mostly batches can pin a
+//! [`ReadView`] and drop even the RCU counter traffic. Pending point writes
+//! buffer in a per-snapshot overlay, the structurally shared persistent map
+//! [`pmap::PMap`], whose path-copying updates keep the per-write copy cost
+//! logarithmic in the buffered state.
 //!
-//! * **RCU** (the default): shard snapshots are published through the
-//!   hand-rolled [`rcu::RcuCell`] — point lookups perform *zero lock
-//!   acquisitions*, and writers/maintenance build copy-on-write successors
-//!   published with a single pointer swap, so readers never stall behind
-//!   maintenance's apply phase, splits, or merges. Read-mostly batches can
-//!   pin a [`ReadView`] and drop even the RCU counter traffic. Pending
-//!   point writes buffer in a per-snapshot overlay whose representation is
-//!   its own A/B knob ([`OverlayRepr`]): a flat sorted `Vec` baseline, or
-//!   (default) the structurally shared persistent map [`pmap::PMap`],
-//!   whose path-copying updates keep the per-write copy cost logarithmic
-//!   in the buffered state.
-//! * **Locked**: the classic per-shard [`csv_common::sync::RwLock`] layout, kept
-//!   as the A/B baseline the benchmarks compare against.
-//!
-//! CSV-integrable indexes are re-optimised in place via
-//! [`ShardedIndex::optimize`], which plans each shard's smoothing without
-//! excluding readers (shared locks on the locked path, private snapshot
-//! clones on the RCU path) and publishes the rebuilds with short exclusive
-//! locks or one swap respectively.
+//! CSV-integrable indexes are re-optimised via [`ShardedIndex::optimize`],
+//! which plans and applies each shard's smoothing on a private successor
+//! and publishes it with one swap, never excluding readers.
 //!
 //! On top of that one-shot pass sits the *adaptive* layer: every shard
 //! counts the structural writes it absorbs ([`ShardedIndex::staleness`]),
@@ -62,7 +53,7 @@ pub use maintenance::{
 pub use pmap::PMap;
 pub use rcu::RcuCell;
 pub use sharded::{
-    BatchOutcome, MaintainProgress, OverlayRepr, ReadPath, ReadView, ShardStaleness, ShardedIndex,
+    BatchOutcome, MaintainProgress, ReadPath, ReadView, ShardStaleness, ShardedIndex,
     ShardingConfig, WriteOp,
 };
 pub use throughput::{run_read_throughput, run_read_throughput_pinned, ThroughputReport};

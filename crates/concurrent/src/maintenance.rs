@@ -7,10 +7,9 @@
 //! drained back into its neighbour, or picks the **stalest** shard — most
 //! structural writes since its last pass, weighted by the level drift its
 //! statistics show — and re-optimises just that shard's *dirty* sub-trees
-//! through [`ShardedIndex::maintain_shard`]. On the RCU read path every one
-//! of those operations publishes a copy-on-write successor, so lookups never
-//! wait on maintenance at all; on the locked path rebuilds take short
-//! exclusive locks.
+//! through [`ShardedIndex::maintain_shard`]. Every one of those operations
+//! publishes a copy-on-write successor, so lookups never wait on maintenance
+//! at all.
 //!
 //! The engine is synchronous and step-wise ([`MaintenanceEngine::run_once`]):
 //! callers own the cadence — the engine-owned background thread
@@ -592,15 +591,13 @@ impl Drop for MaintenanceHandle {
 mod tests {
     use super::*;
     use crate::durability::{DurabilitySink, ShardCheckpoint};
-    use crate::sharded::{OverlayRepr, ReadPath, ShardingConfig};
+    use crate::sharded::ShardingConfig;
     use csv_common::key::identity_records;
     use csv_common::{Key, Value};
     use csv_core::{CsvConfig, CsvOptimizer};
     use csv_datasets::Dataset;
     use csv_lipp::LippIndex;
     use std::collections::HashMap;
-
-    const BOTH_PATHS: [ReadPath; 2] = [ReadPath::Locked, ReadPath::Rcu];
 
     fn engine() -> MaintenanceEngine {
         // split_factor must stay below the shard count for a single hot
@@ -616,67 +613,47 @@ mod tests {
         )
     }
 
-    fn config(num_shards: usize, read_path: ReadPath) -> ShardingConfig {
-        ShardingConfig::with_shards(num_shards).with_read_path(read_path)
+    fn config(num_shards: usize) -> ShardingConfig {
+        ShardingConfig::with_shards(num_shards)
     }
 
     #[test]
     fn fresh_shards_are_maintained_once_then_idle() {
         let keys = Dataset::Osm.generate(30_000, 5);
-        for path in BOTH_PATHS {
-            let index =
-                ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(4, path));
-            let engine = engine();
-            let actions = engine.run_until_idle(&index, 100);
-            // Every shard starts fully stale (never maintained) and
-            // balanced, so the engine maintains each exactly once and then
-            // goes idle.
-            let maintained: Vec<usize> = actions
-                .iter()
-                .filter_map(|a| match a {
-                    MaintenanceAction::Maintained { shard, .. } => Some(*shard),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(maintained.len(), 4);
-            let mut sorted = maintained.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, vec![0, 1, 2, 3]);
-            assert!(actions.last().unwrap().is_idle());
-            // Quiescent: another tick does nothing.
-            assert!(engine.run_once(&index).is_idle());
-            // Lookups are intact throughout.
-            for &k in keys.iter().step_by(97) {
-                assert_eq!(index.get(k), Some(k));
-            }
+        let index = ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(4));
+        let engine = engine();
+        let actions = engine.run_until_idle(&index, 100);
+        // Every shard starts fully stale (never maintained) and
+        // balanced, so the engine maintains each exactly once and then
+        // goes idle.
+        let maintained: Vec<usize> = actions
+            .iter()
+            .filter_map(|a| match a {
+                MaintenanceAction::Maintained { shard, .. } => Some(*shard),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(maintained.len(), 4);
+        let mut sorted = maintained.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, vec![0, 1, 2, 3]);
+        assert!(actions.last().unwrap().is_idle());
+        // Quiescent: another tick does nothing.
+        assert!(engine.run_once(&index).is_idle());
+        // Lookups are intact throughout.
+        for &k in keys.iter().step_by(97) {
+            assert_eq!(index.get(k), Some(k));
         }
     }
 
     #[test]
     fn writes_re_stale_only_the_written_shard() {
         let keys = Dataset::Genome.generate(20_000, 9);
-        // Every path × overlay combination (the locked path ignores the
-        // overlay knob; running it twice keeps the loop uniform): the
-        // staleness the engine ranks by must not depend on how pending
-        // writes are buffered, including across fold generations (the
-        // tiny capacity folds the 500-write burst dozens of times).
-        for path in BOTH_PATHS {
-            for overlay in [OverlayRepr::Vec, OverlayRepr::Persistent] {
-                writes_re_stale_only_the_written_shard_on(&keys, path, overlay);
-            }
-        }
-    }
-
-    fn writes_re_stale_only_the_written_shard_on(
-        keys: &[csv_common::Key],
-        path: ReadPath,
-        overlay: OverlayRepr,
-    ) {
+        // The staleness the engine ranks by must survive fold generations:
+        // the tiny capacity folds the 500-write burst dozens of times.
         let index = ShardedIndex::<LippIndex>::bulk_load(
-            &identity_records(keys),
-            config(4, path)
-                .with_overlay(overlay)
-                .with_overlay_capacity(16),
+            &identity_records(&keys),
+            config(4).with_overlay_capacity(16),
         );
         let engine = engine();
         engine.run_until_idle(&index, 100);
@@ -708,42 +685,39 @@ mod tests {
     #[test]
     fn outgrown_shards_are_split_before_anything_else() {
         let keys = Dataset::Covid.generate(12_000, 3);
-        for path in BOTH_PATHS {
-            let index =
-                ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(4, path));
-            let engine = engine();
-            engine.run_until_idle(&index, 100);
-            assert_eq!(index.num_shards(), 4);
+        let index = ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(4));
+        let engine = engine();
+        engine.run_until_idle(&index, 100);
+        assert_eq!(index.num_shards(), 4);
 
-            // Skewed growth: pour fresh keys into the last shard's range
-            // until it dwarfs the others (mean stays ~len/num_shards).
-            let top = *keys.last().unwrap();
-            for i in 1..=40_000u64 {
-                index.insert(top + i, i);
-            }
-            let action = engine.run_once(&index);
-            let MaintenanceAction::Split {
-                shard,
-                keys: split_keys,
-            } = action
-            else {
-                panic!("expected a split, got {action:?}");
-            };
-            assert_eq!(shard, 3);
-            assert!(split_keys > 40_000);
-            assert_eq!(index.num_shards(), 5);
-            // The split halves are fresh (never maintained) and get picked
-            // up by the following ticks; the index then quiesces.
-            let actions = engine.run_until_idle(&index, 100);
-            assert!(actions.last().unwrap().is_idle());
-            // All data survived the re-partitioning.
-            assert_eq!(index.len(), keys.len() + 40_000);
-            for &k in keys.iter().step_by(131) {
-                assert_eq!(index.get(k), Some(k));
-            }
-            for i in (1..=40_000u64).step_by(997) {
-                assert_eq!(index.get(top + i), Some(i));
-            }
+        // Skewed growth: pour fresh keys into the last shard's range
+        // until it dwarfs the others (mean stays ~len/num_shards).
+        let top = *keys.last().unwrap();
+        for i in 1..=40_000u64 {
+            index.insert(top + i, i);
+        }
+        let action = engine.run_once(&index);
+        let MaintenanceAction::Split {
+            shard,
+            keys: split_keys,
+        } = action
+        else {
+            panic!("expected a split, got {action:?}");
+        };
+        assert_eq!(shard, 3);
+        assert!(split_keys > 40_000);
+        assert_eq!(index.num_shards(), 5);
+        // The split halves are fresh (never maintained) and get picked
+        // up by the following ticks; the index then quiesces.
+        let actions = engine.run_until_idle(&index, 100);
+        assert!(actions.last().unwrap().is_idle());
+        // All data survived the re-partitioning.
+        assert_eq!(index.len(), keys.len() + 40_000);
+        for &k in keys.iter().step_by(131) {
+            assert_eq!(index.get(k), Some(k));
+        }
+        for i in (1..=40_000u64).step_by(997) {
+            assert_eq!(index.get(top + i), Some(i));
         }
     }
 
@@ -753,63 +727,57 @@ mod tests {
     #[test]
     fn drained_shards_are_merged_back() {
         let keys = Dataset::Genome.generate(20_000, 7);
-        for path in BOTH_PATHS {
-            let index =
-                ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(4, path));
-            let engine = engine();
-            engine.run_until_idle(&index, 100);
-            assert_eq!(index.num_shards(), 4);
+        let index = ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(4));
+        let engine = engine();
+        engine.run_until_idle(&index, 100);
+        assert_eq!(index.num_shards(), 4);
 
-            // Remove ~99% of shard 2's keys (shards hold 5k keys each).
-            let per_shard = keys.len() / 4;
-            let mut removed = Vec::new();
-            for &k in keys[2 * per_shard..3 * per_shard].iter() {
-                if removed.len() >= per_shard - 40 {
-                    break;
-                }
-                assert_eq!(index.remove(k), Some(k));
-                removed.push(k);
+        // Remove ~99% of shard 2's keys (shards hold 5k keys each).
+        let per_shard = keys.len() / 4;
+        let mut removed = Vec::new();
+        for &k in keys[2 * per_shard..3 * per_shard].iter() {
+            if removed.len() >= per_shard - 40 {
+                break;
             }
-            let actions = engine.run_until_idle(&index, 100);
-            assert!(
-                actions
-                    .iter()
-                    .any(|a| matches!(a, MaintenanceAction::Merged { .. })),
-                "{path:?}: a drained shard must be merged, got {actions:?}"
-            );
-            assert!(index.num_shards() < 4);
-            assert!(actions.last().unwrap().is_idle());
-            // Contents round-trip: removed keys gone, the rest intact.
-            assert_eq!(index.len(), keys.len() - removed.len());
-            for &k in removed.iter().step_by(37) {
-                assert_eq!(index.get(k), None);
-            }
-            for &k in keys.iter().step_by(83) {
-                let expected = (!removed.contains(&k)).then_some(k);
-                assert_eq!(index.get(k), expected);
-            }
+            assert_eq!(index.remove(k), Some(k));
+            removed.push(k);
+        }
+        let actions = engine.run_until_idle(&index, 100);
+        assert!(
+            actions
+                .iter()
+                .any(|a| matches!(a, MaintenanceAction::Merged { .. })),
+            "a drained shard must be merged, got {actions:?}"
+        );
+        assert!(index.num_shards() < 4);
+        assert!(actions.last().unwrap().is_idle());
+        // Contents round-trip: removed keys gone, the rest intact.
+        assert_eq!(index.len(), keys.len() - removed.len());
+        for &k in removed.iter().step_by(37) {
+            assert_eq!(index.get(k), None);
+        }
+        for &k in keys.iter().step_by(83) {
+            let expected = (!removed.contains(&k)).then_some(k);
+            assert_eq!(index.get(k), expected);
         }
     }
 
     #[test]
     fn maintenance_runs_while_readers_proceed() {
         let keys = Dataset::Osm.generate(40_000, 11);
-        for path in BOTH_PATHS {
-            let index =
-                ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(2, path));
-            let engine = engine();
-            crossbeam::thread::scope(|scope| {
-                let idx = &index;
-                let eng = &engine;
-                let h = scope.spawn(move |_| eng.run_until_idle(idx, 100));
-                for &k in keys.iter().step_by(37) {
-                    assert_eq!(index.get(k), Some(k));
-                }
-                let actions = h.join().expect("engine thread must not panic");
-                assert!(!actions.is_empty());
-            })
-            .expect("threads must not panic");
-        }
+        let index = ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(2));
+        let engine = engine();
+        crossbeam::thread::scope(|scope| {
+            let idx = &index;
+            let eng = &engine;
+            let h = scope.spawn(move |_| eng.run_until_idle(idx, 100));
+            for &k in keys.iter().step_by(37) {
+                assert_eq!(index.get(k), Some(k));
+            }
+            let actions = h.join().expect("engine thread must not panic");
+            assert!(!actions.is_empty());
+        })
+        .expect("threads must not panic");
     }
 
     /// Budget accounting: a tick that overshoots its budget leaves debt,
@@ -919,38 +887,36 @@ mod tests {
     #[test]
     fn spawned_engine_maintains_and_reports_stats() {
         let keys = Dataset::Osm.generate(20_000, 23);
-        for path in BOTH_PATHS {
-            let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load(
-                &identity_records(&keys),
-                config(4, path),
-            ));
-            let handle = engine().spawn(Arc::clone(&index));
-            // Wait until the background thread has drained all four fresh
-            // shards (quiescence = all maintained, no pending writes).
-            let deadline = Instant::now() + Duration::from_secs(60);
-            while !index
-                .write_counters()
-                .iter()
-                .all(|&(writes, maintained)| maintained && writes == 0)
-            {
-                assert!(
-                    Instant::now() < deadline,
-                    "background engine never quiesced"
-                );
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let stats = handle.stop();
-            assert_eq!(stats.maintain_passes, 4, "{path:?}: one pass per shard");
-            assert_eq!(stats.splits, 0);
-            assert_eq!(stats.merges, 0);
-            for &k in keys.iter().step_by(201) {
-                assert_eq!(index.get(k), Some(k));
-            }
-            // Dropping a second handle must also stop its thread (no
-            // panic, no leak) — exercised via drop instead of stop.
-            let handle = engine().spawn(Arc::clone(&index));
-            drop(handle);
+        let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load(
+            &identity_records(&keys),
+            config(4),
+        ));
+        let handle = engine().spawn(Arc::clone(&index));
+        // Wait until the background thread has drained all four fresh
+        // shards (quiescence = all maintained, no pending writes).
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !index
+            .write_counters()
+            .iter()
+            .all(|&(writes, maintained)| maintained && writes == 0)
+        {
+            assert!(
+                Instant::now() < deadline,
+                "background engine never quiesced"
+            );
+            std::thread::sleep(Duration::from_millis(1));
         }
+        let stats = handle.stop();
+        assert_eq!(stats.maintain_passes, 4, "one pass per shard");
+        assert_eq!(stats.splits, 0);
+        assert_eq!(stats.merges, 0);
+        for &k in keys.iter().step_by(201) {
+            assert_eq!(index.get(k), Some(k));
+        }
+        // Dropping a second handle must also stop its thread (no
+        // panic, no leak) — exercised via drop instead of stop.
+        let handle = engine().spawn(Arc::clone(&index));
+        drop(handle);
     }
 
     /// An in-memory sink that tallies the calls the index makes — enough to
@@ -996,9 +962,7 @@ mod tests {
         let sink = Arc::new(CountingSink::default());
         let index = ShardedIndex::<LippIndex>::bulk_load_durable(
             &identity_records(&keys),
-            ShardingConfig::with_shards(1)
-                .with_read_path(ReadPath::Rcu)
-                .with_overlay_capacity(1_000),
+            ShardingConfig::with_shards(1).with_overlay_capacity(1_000),
             Arc::clone(&sink) as Arc<dyn DurabilitySink>,
         );
         let engine = MaintenanceEngine::new(
@@ -1057,7 +1021,7 @@ mod tests {
         let keys = Dataset::Osm.generate(4_000, 31);
         let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load_durable(
             &identity_records(&keys),
-            ShardingConfig::with_shards(2).with_read_path(ReadPath::Rcu),
+            ShardingConfig::with_shards(2),
             Arc::new(WedgedSink),
         ));
         let handle = engine().spawn(Arc::clone(&index));

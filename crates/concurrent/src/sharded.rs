@@ -1,44 +1,32 @@
 //! The sharded concurrent index wrapper.
 //!
-//! Two read paths are provided, selected by [`ShardingConfig::read_path`]:
+//! Both the shard *vector* and every shard's contents are published through
+//! [`crate::rcu::RcuCell`] as immutable snapshots. A lookup is a handful of
+//! atomic reads — **zero lock acquisitions** — and writers and maintenance
+//! build successor snapshots off to the side, publishing each with one
+//! pointer swap. Readers observe either the pre- or the post-publication
+//! state, never a torn one, and never wait on a writer.
 //!
-//! * [`ReadPath::Locked`] — the classic layout: every shard's index sits
-//!   behind a [`csv_common::sync::RwLock`], lookups take the shared lock, writes
-//!   the exclusive one. Readers stall whenever maintenance's apply phase or
-//!   a split holds an exclusive lock.
-//! * [`ReadPath::Rcu`] (the default) — the lock-free layout: both the shard
-//!   *vector* and every shard's index are published through
-//!   [`crate::rcu::RcuCell`] as immutable snapshots. A lookup is a handful
-//!   of atomic reads — **zero lock acquisitions** — and writers/maintenance
-//!   build successor snapshots off to the side, publishing them with one
-//!   pointer swap. Readers observe either the pre- or the post-publication
-//!   index, never a torn state.
-//!
-//! On the RCU path a shard snapshot is a pair: a big immutable base index
-//! plus a small sorted *overlay* of pending upserts/tombstones
-//! ([`ShardSnapshot`]). Point writes copy the overlay (cheap), not the
-//! base. The overlay's representation is an A/B knob
-//! ([`ShardingConfig::overlay`]): a flat sorted `Vec` (every write clones
-//! the whole overlay) or, by default, a persistent structurally shared
-//! chunk tree ([`crate::pmap::PMap`]) whose point updates copy only the
-//! touched root-to-leaf path. A published snapshot's overlay holds at most
+//! A shard snapshot ([`ShardSnapshot`]) is a pair: a big immutable base
+//! index plus a small sorted *overlay* of pending upserts and tombstones,
+//! held in the persistent structurally shared map [`crate::pmap::PMap`]. A
+//! point write path-copies the overlay chunks on its key's root-to-leaf
+//! path — O(log `overlay_capacity` + chunk) — and never touches the base. A
+//! published snapshot's overlay holds at most
 //! [`ShardingConfig::overlay_capacity`] entries: the write that would grow
-//! it to `capacity + 1` instead *folds* the overlay into a fresh base —
-//! by cloning the base and replaying the upserts when there are no
-//! tombstones (which preserves the CSV-smoothed layout and the
-//! dirty-sub-tree marks), or by a merge-join rebuild when there are — and
-//! that triggering write lands in the folded base. Maintenance
-//! (`maintain_shard`, `optimize`) plans against the live snapshot, applies
-//! onto a clone, and swaps — the apply phase holds no lock any reader can
-//! observe.
+//! it to `capacity + 1` instead *folds* the overlay into a fresh base — by
+//! cloning the base and replaying the upserts when there are no tombstones
+//! (which preserves the CSV-smoothed layout and the dirty-sub-tree marks),
+//! or by a merge-join rebuild when there are — and that triggering write
+//! lands in the folded base. Maintenance (`maintain_shard`, `optimize`)
+//! plans and applies onto a private successor and swaps it in: the shard's
+//! writers queue on its writer mutex meanwhile, its readers never wait.
 
 use crate::durability::{DurabilitySink, RecoveredShard, ShardCheckpoint, StaleSeed, WriteRecord};
 use crate::pmap::PMap;
 use crate::rcu::RcuCell;
 use core::ops::ControlFlow;
-use csv_common::sync::{
-    spin_loop, yield_now, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering, RwLock,
-};
+use csv_common::sync::{spin_loop, yield_now, AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 use csv_common::traits::{
     IndexStats, LearnedIndex, RangeIndex, RemovableIndex, SnapshotIndex, LOOKUP_BLOCK,
 };
@@ -49,78 +37,37 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Which concurrency scheme serves point lookups.
+/// The read path lookups take. RCU snapshots are the only one; this
+/// single-variant enum remains only because the `benchmark/` crate
+/// compiles against it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadPath {
-    /// Reader–writer locks per shard (readers block behind maintenance's
-    /// apply phase and behind splits).
-    Locked,
     /// RCU snapshots per shard (readers never block; writers copy on
     /// write and publish with a pointer swap).
     #[default]
     Rcu,
 }
 
-/// How an RCU shard snapshot represents its overlay of pending writes —
-/// the write-cost A/B knob mirroring [`ReadPath`]'s read-cost one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OverlayRepr {
-    /// A flat sorted `Vec`: the smallest constant factors per lookup, but
-    /// every point write clones the *entire* overlay before republishing —
-    /// O(`overlay_capacity`) per write.
-    Vec,
-    /// A persistent structurally shared chunk tree ([`crate::pmap::PMap`]):
-    /// a point write copies only the touched root-to-leaf chunk path —
-    /// O(log `overlay_capacity` + chunk) — so a much larger overlay (and
-    /// therefore a much rarer, better-amortised base fold) costs writes
-    /// nothing extra.
-    #[default]
-    Persistent,
-}
-
-impl OverlayRepr {
-    /// The overlay capacity used when [`ShardingConfig::overlay_capacity`]
-    /// is `None`. The flat representation folds early because every
-    /// buffered entry is re-copied on every subsequent write; the
-    /// persistent one buffers 8× more — its per-write copy cost stays
-    /// logarithmic, so the only fold pressure left is lookup cost on the
-    /// overlay probe.
-    pub fn default_capacity(self) -> usize {
-        match self {
-            Self::Vec => 512,
-            Self::Persistent => 4096,
-        }
-    }
-}
-
-/// How the key space is partitioned and served.
+/// How the key space is partitioned and buffered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardingConfig {
     /// Number of shards. Each shard owns a contiguous key range.
     pub num_shards: usize,
-    /// The concurrency scheme for this index (see [`ReadPath`]).
-    pub read_path: ReadPath,
-    /// RCU path only: the data structure shard snapshots buffer pending
-    /// point writes in (see [`OverlayRepr`]).
-    pub overlay: OverlayRepr,
-    /// RCU path only: the maximum number of pending point writes a
-    /// *published* shard snapshot's overlay holds. The write that would
-    /// grow the overlay to `capacity + 1` entries triggers the fold into a
-    /// fresh base index and lands there instead, so readers never observe
-    /// an overlay past this bound (pinned by the boundary test). `None`
-    /// picks the representation's default
-    /// ([`OverlayRepr::default_capacity`]). Larger values amortise the
-    /// fold further but tax every lookup with a bigger overlay probe.
-    pub overlay_capacity: Option<usize>,
+    /// The maximum number of pending point writes a *published* shard
+    /// snapshot's overlay holds (clamped to at least 1). The write that
+    /// would grow the overlay to `capacity + 1` entries triggers the fold
+    /// into a fresh base index and lands there instead, so readers never
+    /// observe an overlay past this bound (pinned by the boundary test).
+    /// Larger values amortise the fold further but tax every lookup with a
+    /// deeper overlay probe.
+    pub overlay_capacity: usize,
 }
 
 impl Default for ShardingConfig {
     fn default() -> Self {
         Self {
             num_shards: 16,
-            read_path: ReadPath::default(),
-            overlay: OverlayRepr::default(),
-            overlay_capacity: None,
+            overlay_capacity: 4096,
         }
     }
 }
@@ -134,30 +81,18 @@ impl ShardingConfig {
         }
     }
 
-    /// The same config on the given read path.
-    pub fn with_read_path(self, read_path: ReadPath) -> Self {
-        Self { read_path, ..self }
+    /// Returns `self` unchanged (RCU is the only read path); remains only
+    /// because the `benchmark/` crate compiles against it.
+    pub fn with_read_path(self, _read_path: ReadPath) -> Self {
+        self
     }
 
-    /// The same config with the given overlay representation.
-    pub fn with_overlay(self, overlay: OverlayRepr) -> Self {
-        Self { overlay, ..self }
-    }
-
-    /// The same config with an explicit overlay capacity.
-    pub fn with_overlay_capacity(self, capacity: usize) -> Self {
+    /// The same config with the given overlay capacity.
+    pub fn with_overlay_capacity(self, overlay_capacity: usize) -> Self {
         Self {
-            overlay_capacity: Some(capacity),
+            overlay_capacity,
             ..self
         }
-    }
-
-    /// The overlay capacity in effect: the explicit one, else the
-    /// representation's default.
-    pub fn effective_overlay_capacity(&self) -> usize {
-        self.overlay_capacity
-            .unwrap_or_else(|| self.overlay.default_capacity())
-            .max(1)
     }
 }
 
@@ -211,9 +146,9 @@ pub struct BatchOutcome {
     pub removed: usize,
 }
 
-/// Per-shard staleness bookkeeping shared by both read paths: structural
-/// writes since the last maintenance pass plus the mean-key-level baseline
-/// the drift heuristic compares against.
+/// Per-shard staleness bookkeeping: structural writes since the last
+/// maintenance pass plus the mean-key-level baseline the drift heuristic
+/// compares against.
 struct StaleCounters {
     /// Structural writes (new keys, removals) since the last pass. Seeded
     /// with the bulk-loaded key count: a fresh shard has never been
@@ -236,20 +171,14 @@ impl StaleCounters {
         }
     }
 
-    fn record_write(&self) {
-        self.writes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records the write iff it changed the live key set — a fresh-key
     /// insert (`absent → present`) or a successful removal
     /// (`present → absent`). Overwrites change no structure and do not
-    /// count. Both read paths route their accounting through exactly this
-    /// predicate, so the counters a maintenance engine ranks shards by are
-    /// identical for identical op sequences (pinned by
-    /// `staleness_counters_agree_across_paths_and_overlays`).
+    /// count (pinned against a `BTreeMap` replay by
+    /// `staleness_counters_match_an_oracle_replay`).
     fn record_if_structural(&self, was_present: bool, now_present: bool) {
         if was_present != now_present {
-            self.record_write();
+            self.writes.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -362,231 +291,13 @@ impl MaintainProgress {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Locked representation
-// ---------------------------------------------------------------------------
-
-/// A contiguous key-range shard on the locked path.
-struct LockedShard<I> {
-    /// Smallest key routed to this shard (the first shard owns everything
-    /// below its boundary too).
-    lower_bound: Key,
-    index: RwLock<I>,
-    stale: StaleCounters,
-}
-
-impl<I: LearnedIndex> LockedShard<I> {
-    fn new(lower_bound: Key, index: I) -> Self {
-        let seed = index.len();
-        Self {
-            lower_bound,
-            index: RwLock::new(index),
-            stale: StaleCounters::seeded(seed),
-        }
-    }
-}
-
-/// The locked layout: the shard vector lives behind an outer reader–writer
-/// lock; every operation takes the cheap shared lock, and only a
-/// split/merge takes the exclusive one.
-struct LockedRepr<I> {
-    shards: RwLock<Vec<LockedShard<I>>>,
-}
-
-// ---------------------------------------------------------------------------
-// RCU representation
-// ---------------------------------------------------------------------------
-
-/// One pending point write in a shard snapshot's overlay: an upsert
-/// (`Some`) or a tombstone (`None`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct OverlayEntry {
-    key: Key,
-    value: Option<Value>,
-}
-
-/// A snapshot's overlay of pending writes, in the representation chosen by
-/// [`ShardingConfig::overlay`]. Both variants expose the same sorted-map
-/// surface; they differ only in what a point update copies (the whole
-/// vector vs. one chunk path).
-#[derive(Clone)]
-enum Overlay {
-    Flat(Vec<OverlayEntry>),
-    Tree(PMap<Key, Option<Value>>),
-}
-
-impl Overlay {
-    fn empty(repr: OverlayRepr) -> Self {
-        match repr {
-            OverlayRepr::Vec => Self::Flat(Vec::new()),
-            OverlayRepr::Persistent => Self::Tree(PMap::new()),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Self::Flat(entries) => entries.len(),
-            Self::Tree(map) => map.len(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The key's overlay slot: `None` when the overlay has no entry for
-    /// it, `Some(None)` for a tombstone, `Some(Some(v))` for an upsert.
-    fn get(&self, key: Key) -> Option<Option<Value>> {
-        match self {
-            Self::Flat(entries) => entries
-                .binary_search_by_key(&key, |e| e.key)
-                .ok()
-                .map(|i| entries[i].value),
-            Self::Tree(map) => map.get(&key).copied(),
-        }
-    }
-
-    /// Fills `slots[i]` with the overlay slot for `keys[i]` — a whole
-    /// sorted, de-duplicated probe batch in **one** merged pass, the
-    /// group-commit analogue of [`Overlay::get`]: the flat representation
-    /// sweeps its entries forward once, the tree descends each touched
-    /// chunk once via [`PMap::get_many`]. Absent keys leave their slot
-    /// untouched (callers pre-fill with `None`).
-    fn get_many(&self, keys: &[Key], slots: &mut [Option<Option<Value>>]) {
-        debug_assert_eq!(keys.len(), slots.len());
-        match self {
-            Self::Flat(entries) => {
-                let mut at = 0usize;
-                for (i, key) in keys.iter().enumerate() {
-                    at += entries[at..].partition_point(|e| e.key < *key);
-                    match entries.get(at) {
-                        Some(e) if e.key == *key => slots[i] = Some(e.value),
-                        _ => {}
-                    }
-                }
-            }
-            Self::Tree(map) => map.get_many(keys, |i, v| slots[i] = Some(*v)),
-        }
-    }
-
-    /// A successor overlay with `key`'s slot set to `value`, plus the slot
-    /// it displaced — both from a single traversal. This is the per-write
-    /// copy the two representations trade on: flat clones every entry, the
-    /// tree path-copies O(log n + chunk). `spare` is a recycled entry
-    /// buffer (from a retired snapshot, see `RcuShard::spare`) the flat
-    /// representation builds its copy into instead of a fresh allocation;
-    /// the tree ignores it — its chunks recycle themselves structurally.
-    fn with(
-        &self,
-        key: Key,
-        value: Option<Value>,
-        spare: Vec<OverlayEntry>,
-    ) -> (Self, Option<Option<Value>>) {
-        match self {
-            Self::Flat(entries) => {
-                let mut next = spare;
-                next.clear();
-                next.extend_from_slice(entries);
-                let entry = OverlayEntry { key, value };
-                let displaced = match next.binary_search_by_key(&key, |e| e.key) {
-                    Ok(i) => Some(std::mem::replace(&mut next[i], entry).value),
-                    Err(i) => {
-                        next.insert(i, entry);
-                        None
-                    }
-                };
-                (Self::Flat(next), displaced)
-            }
-            Self::Tree(map) => {
-                let (next, displaced) = map.insert(key, value);
-                (Self::Tree(next), displaced)
-            }
-        }
-    }
-
-    /// A successor overlay with a whole sorted, de-duplicated batch of slot
-    /// writes applied in **one** pass — the group-commit analogue of
-    /// [`Overlay::with`]: the flat representation pays one merge-join for
-    /// the batch instead of one full clone per write, the tree bulk-ingests
-    /// via [`PMap::insert_many`], copying each touched chunk once per
-    /// batch. `spare` as in [`Overlay::with`].
-    fn ingest(&self, batch: &[(Key, Option<Value>)], spare: Vec<OverlayEntry>) -> Self {
-        match self {
-            Self::Flat(entries) => {
-                let mut merged = spare;
-                merged.clear();
-                merged.reserve(entries.len() + batch.len());
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < entries.len() && j < batch.len() {
-                    match entries[i].key.cmp(&batch[j].0) {
-                        std::cmp::Ordering::Less => {
-                            merged.push(entries[i]);
-                            i += 1;
-                        }
-                        std::cmp::Ordering::Greater => {
-                            let (key, value) = batch[j];
-                            merged.push(OverlayEntry { key, value });
-                            j += 1;
-                        }
-                        std::cmp::Ordering::Equal => {
-                            let (key, value) = batch[j];
-                            merged.push(OverlayEntry { key, value });
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                merged.extend_from_slice(&entries[i..]);
-                merged.extend(
-                    batch[j..]
-                        .iter()
-                        .map(|&(key, value)| OverlayEntry { key, value }),
-                );
-                Self::Flat(merged)
-            }
-            Self::Tree(map) => Self::Tree(map.insert_many(batch)),
-        }
-    }
-
-    /// Iterates the overlay slots with keys in `[lo, hi]`, ascending —
-    /// allocation-free in both representations.
-    fn range(&self, lo: Key, hi: Key) -> OverlayIter<'_> {
-        match self {
-            Self::Flat(entries) => {
-                let from = entries.partition_point(|e| e.key < lo);
-                let to = entries.partition_point(|e| e.key <= hi);
-                OverlayIter::Flat(entries[from..to].iter())
-            }
-            Self::Tree(map) => OverlayIter::Tree(map.range(&lo, &hi)),
-        }
-    }
-}
-
-/// Streaming iterator over an overlay slice, unifying both representations
-/// for the snapshot's merge-join.
-enum OverlayIter<'a> {
-    Flat(std::slice::Iter<'a, OverlayEntry>),
-    Tree(crate::pmap::Iter<'a, Key, Option<Value>>),
-}
-
-impl Iterator for OverlayIter<'_> {
-    type Item = (Key, Option<Value>);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Self::Flat(it) => it.next().map(|e| (e.key, e.value)),
-            Self::Tree(it) => it.next().map(|(&k, &v)| (k, v)),
-        }
-    }
-}
-
-/// An immutable shard snapshot on the RCU path: a big shared base index
-/// plus a small sorted overlay of writes not yet folded into it. Readers
-/// consult the overlay first, then the base — both without locks or
-/// allocation.
+/// An immutable shard snapshot: a big shared base index plus a small
+/// sorted overlay of writes not yet folded into it — `Some` upserts and
+/// `None` tombstones. Readers consult the overlay first, then the base —
+/// both without locks or allocation.
 pub struct ShardSnapshot<I> {
     base: Arc<I>,
-    overlay: Overlay,
+    overlay: PMap<Key, Option<Value>>,
     /// Tombstones currently in the overlay, maintained incrementally by
     /// the write path so the fold can pick its clone+replay fast path
     /// without scanning.
@@ -597,19 +308,19 @@ pub struct ShardSnapshot<I> {
 }
 
 impl<I: LearnedIndex> ShardSnapshot<I> {
-    fn clean(base: Arc<I>, repr: OverlayRepr) -> Self {
+    fn clean(base: Arc<I>) -> Self {
         let len = base.len();
         Self {
             base,
-            overlay: Overlay::empty(repr),
+            overlay: PMap::new(),
             tombstones: 0,
             len,
         }
     }
 
     pub(crate) fn get(&self, key: Key) -> Option<Value> {
-        match self.overlay.get(key) {
-            Some(slot) => slot,
+        match self.overlay.get(&key) {
+            Some(slot) => *slot,
             None => self.base.get(key),
         }
     }
@@ -627,8 +338,8 @@ impl<I: LearnedIndex> ShardSnapshot<I> {
         for (keys, out) in keys.chunks(LOOKUP_BLOCK).zip(out.chunks_mut(LOOKUP_BLOCK)) {
             let mut misses = 0;
             for (i, (&key, slot)) in keys.iter().zip(out.iter_mut()).enumerate() {
-                match self.overlay.get(key) {
-                    Some(pending) => *slot = pending,
+                match self.overlay.get(&key) {
+                    Some(pending) => *slot = *pending,
                     None => {
                         missed[misses] = i as u32;
                         misses += 1;
@@ -659,14 +370,8 @@ impl<I: LearnedIndex + RangeIndex> ShardSnapshot<I> {
     /// Every live record of the snapshot (base merged with the overlay), in
     /// ascending key order.
     fn records(&self) -> Vec<KeyValue> {
-        self.range(0, Key::MAX)
-    }
-
-    /// Records in `[lo, hi]`: the base range merge-joined with the overlay
-    /// slice (streamed, not copied), tombstones subtracted.
-    fn range(&self, lo: Key, hi: Key) -> Vec<KeyValue> {
         let mut out = Vec::new();
-        let _ = self.range_visit(lo, hi, &mut |k, v| {
+        let _ = self.range_visit(0, Key::MAX, &mut |k, v| {
             out.push(KeyValue::new(k, v));
             ControlFlow::Continue(())
         });
@@ -676,9 +381,9 @@ impl<I: LearnedIndex + RangeIndex> ShardSnapshot<I> {
     /// Streams records in `[lo, hi]` to `f` in ascending key order without
     /// materialising either side: the base index streams through its own
     /// `range_visit` while the overlay slice is pulled lazily from
-    /// [`Overlay::range`]'s allocation-free iterator; overlay slots
-    /// supersede equal base keys and tombstones are dropped on the fly.
-    /// Returns `Break` iff `f` broke.
+    /// [`PMap::range`]'s allocation-free iterator; overlay slots supersede
+    /// equal base keys and tombstones are dropped on the fly. Returns
+    /// `Break` iff `f` broke.
     fn range_visit(
         &self,
         lo: Key,
@@ -688,11 +393,11 @@ impl<I: LearnedIndex + RangeIndex> ShardSnapshot<I> {
         if self.overlay.is_empty() {
             return self.base.range_visit(lo, hi, f);
         }
-        let mut overlay = self.overlay.range(lo, hi).peekable();
+        let mut overlay = self.overlay.range(&lo, &hi).peekable();
         self.base.range_visit(lo, hi, &mut |bk, bv| {
             // Drain overlay entries at or before this base key, then decide
             // whether the base record survives (no overlay slot for its key).
-            while let Some(&(ok, oslot)) = overlay.peek() {
+            while let Some(&(&ok, &oslot)) = overlay.peek() {
                 if ok > bk {
                     break;
                 }
@@ -712,7 +417,7 @@ impl<I: LearnedIndex + RangeIndex> ShardSnapshot<I> {
             f(bk, bv)
         })?;
         // Overlay keys past the last base record.
-        for (ok, oslot) in overlay {
+        for (&ok, &oslot) in overlay {
             if let Some(v) = oslot {
                 f(ok, v)?;
             }
@@ -724,14 +429,14 @@ impl<I: LearnedIndex + RangeIndex> ShardSnapshot<I> {
 impl<I: SnapshotIndex + RangeIndex> ShardSnapshot<I> {
     /// Folds the overlay into a fresh base. With no tombstones the base is
     /// cloned and the upserts replayed — preserving the CSV-smoothed layout
-    /// and the dirty-sub-tree marks exactly as in-place writes on the
-    /// locked path would. With tombstones the snapshot is rebuilt from its
-    /// merged records (bulk loading resets the structure, which the
-    /// staleness counters already flag for re-smoothing).
+    /// and the dirty-sub-tree marks exactly as in-place writes would. With
+    /// tombstones the snapshot is rebuilt from its merged records (bulk
+    /// loading resets the structure, which the staleness counters already
+    /// flag for re-smoothing).
     fn folded_base(&self) -> I {
         if self.tombstones == 0 {
             let mut base = (*self.base).clone();
-            for (key, slot) in self.overlay.range(0, Key::MAX) {
+            for (&key, slot) in self.overlay.iter() {
                 base.insert(key, slot.expect("tombstone count is zero"));
             }
             base
@@ -741,8 +446,8 @@ impl<I: SnapshotIndex + RangeIndex> ShardSnapshot<I> {
     }
 }
 
-/// A contiguous key-range shard on the RCU path.
-struct RcuShard<I> {
+/// A contiguous key-range shard.
+struct Shard<I> {
     lower_bound: Key,
     /// The published snapshot readers consume.
     snap: RcuCell<ShardSnapshot<I>>,
@@ -753,57 +458,27 @@ struct RcuShard<I> {
     /// layout: writers that raced the re-layout re-route instead of
     /// publishing into an unreachable handle.
     retired: AtomicBool,
-    /// Retired-snapshot salvage: when a displaced snapshot comes back from
-    /// its grace period uniquely owned (no reader pinned it), its flat
-    /// overlay's entry buffer is parked here (under `writer`) and the next
-    /// write builds its successor overlay into that allocation instead of
-    /// a fresh one. Tree overlays need no slot — their chunks are
-    /// `Arc`-shared and recycle structurally.
-    spare: Mutex<Vec<OverlayEntry>>,
     stale: StaleCounters,
 }
 
-impl<I: LearnedIndex> RcuShard<I> {
-    fn new(lower_bound: Key, index: I, repr: OverlayRepr) -> Self {
+impl<I: LearnedIndex> Shard<I> {
+    fn new(lower_bound: Key, index: I) -> Self {
         let seed = index.len();
         Self {
             lower_bound,
-            snap: RcuCell::new(Arc::new(ShardSnapshot::clean(Arc::new(index), repr))),
+            snap: RcuCell::new(Arc::new(ShardSnapshot::clean(Arc::new(index)))),
             writer: Mutex::new(()),
             retired: AtomicBool::new(false),
-            spare: Mutex::new(Vec::new()),
             stale: StaleCounters::seeded(seed),
-        }
-    }
-
-    /// Takes the parked spare overlay buffer (empty when nothing was
-    /// salvaged). Called with `writer` held.
-    fn take_spare(&self) -> Vec<OverlayEntry> {
-        std::mem::take(&mut *self.spare.lock())
-    }
-
-    /// Publishes `next`, then salvages the displaced snapshot's overlay
-    /// buffer when the grace period hands it back uniquely owned — the
-    /// common case for write-heavy shards, where no reader pinned the
-    /// displaced generation. Called with `writer` held (the caller must
-    /// have dropped its own handle on the displaced snapshot first, or
-    /// `try_unwrap` can never succeed).
-    fn publish_salvaging(&self, next: Arc<ShardSnapshot<I>>) {
-        let displaced = self.snap.replace(next);
-        if let Ok(snapshot) = Arc::try_unwrap(displaced) {
-            if let Overlay::Flat(mut entries) = snapshot.overlay {
-                entries.clear();
-                *self.spare.lock() = entries;
-            }
         }
     }
 }
 
-/// The RCU shard vector, itself an immutable published value: splits and
+/// The shard vector, itself an immutable published value: splits and
 /// merges publish a successor vector, so readers index into a consistent
 /// layout without any lock.
 struct Layout<I> {
-    shards: Vec<Arc<RcuShard<I>>>,
+    shards: Vec<Arc<Shard<I>>>,
 }
 
 impl<I> Layout<I> {
@@ -813,37 +488,14 @@ impl<I> Layout<I> {
     }
 }
 
-struct RcuRepr<I> {
-    layout: RcuCell<Layout<I>>,
-    /// Serializes layout changes (split/merge). Readers and per-shard
-    /// writers never touch it.
-    layout_writer: Mutex<()>,
-    overlay: OverlayRepr,
-    overlay_capacity: usize,
-}
-
-impl<I> RcuRepr<I> {
-    /// The handle currently owning `key` (an `Arc`, so the caller can lock
-    /// its writer mutex outside the read-side critical section).
-    fn shard_handle(&self, key: Key) -> Arc<RcuShard<I>> {
-        self.layout
-            .read(|layout| Arc::clone(&layout.shards[layout.shard_of(key)]))
-    }
-}
-
 /// Index of the shard owning `key` within lower-bound-sorted `shards`: the
 /// last entry whose lower bound is <= key (the first entry also owns every
 /// key below its boundary). The single routing invariant shared by the
-/// locked layout, the RCU layout and pinned read views.
+/// layout and pinned read views.
 fn shard_for_key<T>(shards: &[T], key: Key, lower_bound: impl Fn(&T) -> Key) -> usize {
     shards
         .partition_point(|s| lower_bound(s) <= key)
         .saturating_sub(1)
-}
-
-/// Locked-path convenience over [`shard_for_key`].
-fn locked_shard_of<I>(shards: &[LockedShard<I>], key: Key) -> usize {
-    shard_for_key(shards, key, |s| s.lower_bound)
 }
 
 thread_local! {
@@ -900,14 +552,9 @@ fn with_route_scratch<R>(shards: usize, f: impl FnOnce(&mut [Vec<u32>]) -> R) ->
     })
 }
 
-enum Repr<I> {
-    Locked(LockedRepr<I>),
-    Rcu(RcuRepr<I>),
-}
-
 /// A pinned, immutable view of every shard snapshot, for read-mostly
-/// batches on the RCU path: taking the view costs one RCU load per shard,
-/// after which every lookup is plain memory reads — no atomics at all.
+/// batches: taking the view costs one RCU load per shard, after which every
+/// lookup is plain memory reads — no atomics at all.
 ///
 /// The view is a *snapshot*: writes published after [`ShardedIndex::read_view`]
 /// returned are invisible to it. Use it for bounded batches (a query chunk,
@@ -1029,15 +676,19 @@ impl<I: LearnedIndex + RangeIndex> ReadView<I> {
 /// * a shard whose key range drained can be merged into its neighbour
 ///   ([`ShardedIndex::merge_shards`]).
 ///
-/// The concurrency scheme behind those operations is chosen by
-/// [`ShardingConfig::read_path`]; see the module docs for the two layouts.
+/// See the module docs for the snapshot-and-overlay design behind those
+/// operations.
 pub struct ShardedIndex<I> {
-    repr: Repr<I>,
+    layout: RcuCell<Layout<I>>,
+    /// Serializes layout changes (split/merge). Readers and per-shard
+    /// writers never touch it.
+    layout_writer: Mutex<()>,
+    /// [`ShardingConfig::overlay_capacity`], clamped to at least 1.
+    overlay_capacity: usize,
     /// Attached by the durable constructors ([`ShardedIndex::bulk_load_durable`],
     /// [`ShardedIndex::from_recovered`]); `None` keeps the in-memory
     /// configuration allocation-identical — the write path pays one
-    /// `Option` check. RCU path only: the durability design rides the fold
-    /// points, which the locked path does not have.
+    /// `Option` check.
     sink: Option<Arc<dyn DurabilitySink>>,
 }
 
@@ -1057,140 +708,89 @@ impl<I: LearnedIndex> ShardedIndex<I> {
             // key.
             bounds_and_chunks[0].0 = 0;
         }
-        let repr = match config.read_path {
-            ReadPath::Locked => Repr::Locked(LockedRepr {
-                shards: RwLock::new(
-                    bounds_and_chunks
-                        .into_iter()
-                        .map(|(lower, chunk)| LockedShard::new(lower, I::bulk_load(chunk)))
-                        .collect(),
-                ),
-            }),
-            ReadPath::Rcu => Repr::Rcu(RcuRepr {
-                layout: RcuCell::new(Arc::new(Layout {
-                    shards: bounds_and_chunks
-                        .into_iter()
-                        .map(|(lower, chunk)| {
-                            Arc::new(RcuShard::new(lower, I::bulk_load(chunk), config.overlay))
-                        })
-                        .collect(),
-                })),
-                layout_writer: Mutex::new(()),
-                overlay: config.overlay,
-                overlay_capacity: config.effective_overlay_capacity(),
-            }),
-        };
-        Self { repr, sink: None }
+        let shards = bounds_and_chunks
+            .into_iter()
+            .map(|(lower, chunk)| Arc::new(Shard::new(lower, I::bulk_load(chunk))))
+            .collect();
+        Self::from_shards(shards, config, None)
     }
 
-    /// The read path this index was built with.
-    pub fn read_path(&self) -> ReadPath {
-        match &self.repr {
-            Repr::Locked(_) => ReadPath::Locked,
-            Repr::Rcu(_) => ReadPath::Rcu,
+    fn from_shards(
+        shards: Vec<Arc<Shard<I>>>,
+        config: ShardingConfig,
+        sink: Option<Arc<dyn DurabilitySink>>,
+    ) -> Self {
+        Self {
+            layout: RcuCell::new(Arc::new(Layout { shards })),
+            layout_writer: Mutex::new(()),
+            overlay_capacity: config.overlay_capacity.max(1),
+            sink,
         }
+    }
+
+    /// The handle currently owning `key` (an `Arc`, so the caller can lock
+    /// its writer mutex outside the read-side critical section).
+    fn shard_handle(&self, key: Key) -> Arc<Shard<I>> {
+        self.layout
+            .read(|layout| Arc::clone(&layout.shards[layout.shard_of(key)]))
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        match &self.repr {
-            Repr::Locked(r) => r.shards.read().len(),
-            Repr::Rcu(r) => r.layout.read(|l| l.shards.len()),
-        }
+        self.layout.read(|l| l.shards.len())
     }
 
-    /// Point lookup. On the locked path this takes the outer shared lock
-    /// plus one shard's shared lock; on the RCU path it performs **zero
-    /// lock acquisitions** — two read-side RCU critical sections (a few
-    /// atomic counter operations) around plain memory reads.
+    /// Point lookup with **zero lock acquisitions**: two read-side RCU
+    /// critical sections (a few atomic counter operations) around plain
+    /// memory reads.
     pub fn get(&self, key: Key) -> Option<Value> {
-        match &self.repr {
-            Repr::Locked(r) => {
-                let shards = r.shards.read();
-                let found = shards[locked_shard_of(&shards, key)].index.read().get(key);
-                found
-            }
-            Repr::Rcu(r) => r.layout.read(|layout| {
-                layout.shards[layout.shard_of(key)]
-                    .snap
-                    .read(|snap| snap.get(key))
-            }),
-        }
+        self.layout.read(|layout| {
+            layout.shards[layout.shard_of(key)]
+                .snap
+                .read(|snap| snap.get(key))
+        })
     }
 
-    /// Batched point lookup, in input order. On the RCU path the whole
-    /// batch is served from one pinned [`ReadView`] (one RCU load per
-    /// shard for the entire batch, then [`ReadView::multi_get`]'s
-    /// route-then-resolve pass — not a loop over [`ShardedIndex::get`],
-    /// which pays the RCU counters per lookup). On the locked path the
-    /// batch is likewise shard-partitioned first so each overlapped
-    /// shard's reader lock is taken once per batch instead of once per
-    /// key.
+    /// Batched point lookup, in input order. The whole batch is served from
+    /// one pinned [`ReadView`] (one RCU load per shard for the entire
+    /// batch, then [`ReadView::multi_get`]'s route-then-resolve pass — not
+    /// a loop over [`ShardedIndex::get`], which pays the RCU counters per
+    /// lookup).
     ///
     /// The whole batch observes one consistent snapshot per shard;
     /// `multi_get(keys)` returns exactly what `keys.map(get)` would when
     /// no concurrent writer intervenes between the two (pinned by tests).
     pub fn multi_get(&self, keys: &[Key]) -> Vec<Option<Value>> {
-        match &self.repr {
-            Repr::Locked(r) => {
-                let shards = r.shards.read();
-                let mut out = vec![None; keys.len()];
-                with_route_scratch(shards.len(), |buckets| {
-                    for (i, &key) in keys.iter().enumerate() {
-                        buckets[locked_shard_of(&shards, key)].push(i as u32);
-                    }
-                    for (shard, bucket) in shards.iter().zip(buckets.iter()) {
-                        if bucket.is_empty() {
-                            continue;
-                        }
-                        let index = shard.index.read();
-                        resolve_bucket(bucket, keys, &mut out, |keys, out| {
-                            index.get_many(keys, out)
-                        });
-                    }
-                });
-                out
-            }
-            Repr::Rcu(_) => self
-                .read_view()
-                .expect("the RCU path always has snapshots to pin")
-                .multi_get(keys),
-        }
+        self.pin().multi_get(keys)
     }
 
-    /// A pinned snapshot view of every shard for read-mostly batches, or
-    /// `None` on the locked path (which has no immutable snapshots to
-    /// pin). See [`ReadView`] for the staleness contract.
+    /// A pinned snapshot view of every shard for read-mostly batches. See
+    /// [`ReadView`] for the staleness contract. Always `Some`: the `Option`
+    /// remains only because the `benchmark/` crate compiles against it.
     pub fn read_view(&self) -> Option<ReadView<I>> {
-        match &self.repr {
-            Repr::Locked(_) => None,
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                Some(ReadView {
-                    shards: layout
-                        .shards
-                        .iter()
-                        .map(|s| (s.lower_bound, s.snap.load()))
-                        .collect(),
-                })
-            }
+        Some(self.pin())
+    }
+
+    fn pin(&self) -> ReadView<I> {
+        let layout = self.layout.load();
+        ReadView {
+            shards: layout
+                .shards
+                .iter()
+                .map(|s| (s.lower_bound, s.snap.load()))
+                .collect(),
         }
     }
 
     /// Total number of stored keys (consistent per shard, not globally
     /// atomic).
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Locked(r) => r.shards.read().iter().map(|s| s.index.read().len()).sum(),
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                layout
-                    .shards
-                    .iter()
-                    .map(|s| s.snap.read(|snap| snap.len()))
-                    .sum()
-            }
-        }
+        let layout = self.layout.load();
+        layout
+            .shards
+            .iter()
+            .map(|s| s.snap.read(|snap| snap.len()))
+            .sum()
     }
 
     /// `true` when no shard stores any key.
@@ -1198,32 +798,24 @@ impl<I: LearnedIndex> ShardedIndex<I> {
         self.len() == 0
     }
 
-    /// Per-shard key counts, in shard order. The maintenance engine's
-    /// split/merge triggers read this instead of [`ShardedIndex::map_shards`]
-    /// because on the RCU path it includes pending overlay writes.
+    /// Per-shard key counts, in shard order, pending overlay writes
+    /// included. The maintenance engine's split/merge triggers read this
+    /// instead of [`ShardedIndex::map_shards`], which sees only the bases.
     pub fn shard_lens(&self) -> Vec<usize> {
-        match &self.repr {
-            Repr::Locked(r) => r
-                .shards
-                .read()
-                .iter()
-                .map(|s| s.index.read().len())
-                .collect(),
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                layout
-                    .shards
-                    .iter()
-                    .map(|s| s.snap.read(|snap| snap.len()))
-                    .collect()
-            }
-        }
+        let layout = self.layout.load();
+        layout
+            .shards
+            .iter()
+            .map(|s| s.snap.read(|snap| snap.len()))
+            .collect()
     }
 
     /// Aggregated structural statistics across shards.
     pub fn stats(&self) -> IndexStats {
         let mut total = IndexStats::default();
-        let mut accumulate = |s: IndexStats| {
+        let layout = self.layout.load();
+        for shard in layout.shards.iter() {
+            let s = shard.snap.load().stats();
             for (level, count) in s.level_histogram.iter() {
                 total.level_histogram.record(level, count);
             }
@@ -1232,19 +824,6 @@ impl<I: LearnedIndex> ShardedIndex<I> {
             total.height = total.height.max(s.height);
             total.size_bytes += s.size_bytes;
             total.num_keys += s.num_keys;
-        };
-        match &self.repr {
-            Repr::Locked(r) => {
-                for shard in r.shards.read().iter() {
-                    accumulate(shard.index.read().stats());
-                }
-            }
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                for shard in layout.shards.iter() {
-                    accumulate(shard.snap.load().stats());
-                }
-            }
         }
         total
     }
@@ -1255,13 +834,8 @@ impl<I: LearnedIndex> ShardedIndex<I> {
     /// writes is provably not stale; the maintenance engine uses this as a
     /// quiescence pre-check before paying for [`ShardedIndex::staleness`].
     pub fn write_counters(&self) -> Vec<(usize, bool)> {
-        match &self.repr {
-            Repr::Locked(r) => r.shards.read().iter().map(|s| s.stale.snapshot()).collect(),
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                layout.shards.iter().map(|s| s.stale.snapshot()).collect()
-            }
-        }
+        let layout = self.layout.load();
+        layout.shards.iter().map(|s| s.stale.snapshot()).collect()
     }
 
     /// Per-shard staleness snapshot (writes since the last maintenance pass
@@ -1269,84 +843,57 @@ impl<I: LearnedIndex> ShardedIndex<I> {
     /// Computing the drift walks each shard's structure, so this is a
     /// maintenance-cadence call, not a hot-path one.
     pub fn staleness(&self) -> Vec<ShardStaleness> {
-        let entry = |i: usize, stats: IndexStats, stale: &StaleCounters| {
-            let (writes, maintained) = stale.snapshot();
-            ShardStaleness {
-                shard: i,
-                num_keys: stats.num_keys,
-                writes_since_maintenance: writes,
-                level_drift: stale.level_drift(stats.mean_key_level()),
-                maintained,
-            }
-        };
-        match &self.repr {
-            Repr::Locked(r) => r
-                .shards
-                .read()
-                .iter()
-                .enumerate()
-                .map(|(i, s)| entry(i, s.index.read().stats(), &s.stale))
-                .collect(),
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                layout
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| entry(i, s.snap.load().stats(), &s.stale))
-                    .collect()
-            }
-        }
+        let layout = self.layout.load();
+        layout
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let stats = s.snap.load().stats();
+                let (writes, maintained) = s.stale.snapshot();
+                ShardStaleness {
+                    shard: i,
+                    num_keys: stats.num_keys,
+                    writes_since_maintenance: writes,
+                    level_drift: s.stale.level_drift(stats.mean_key_level()),
+                    maintained,
+                }
+            })
+            .collect()
     }
 
-    /// Runs `f` on every shard's inner index with a shared lock (locked
-    /// path) or against the current base snapshot (RCU path — pending
-    /// overlay writes are invisible to `f`; use [`ShardedIndex::shard_lens`]
-    /// for exact counts) and collects the results.
+    /// Runs `f` on every shard's current base snapshot and collects the
+    /// results. Pending overlay writes are invisible to `f`; use
+    /// [`ShardedIndex::shard_lens`] for exact counts.
     pub fn map_shards<T, F: FnMut(&I) -> T>(&self, mut f: F) -> Vec<T> {
-        match &self.repr {
-            Repr::Locked(r) => r.shards.read().iter().map(|s| f(&s.index.read())).collect(),
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                layout
-                    .shards
-                    .iter()
-                    .map(|s| f(&s.snap.load().base))
-                    .collect()
-            }
-        }
+        let layout = self.layout.load();
+        layout
+            .shards
+            .iter()
+            .map(|s| f(&s.snap.load().base))
+            .collect()
     }
 }
 
 impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
     /// Inserts or overwrites a record. Returns `true` when the key was new.
     ///
-    /// Locked path: exclusive lock on one shard. RCU path: the owning
-    /// shard's writer mutex (invisible to readers), a copy of its overlay
-    /// with the upsert applied, and one snapshot publication; when the
-    /// overlay is full it is first folded into a fresh base (see
-    /// [`ShardingConfig::overlay_capacity`]).
+    /// Takes the owning shard's writer mutex (invisible to readers),
+    /// path-copies its overlay with the upsert applied, and publishes one
+    /// snapshot; when the overlay is full it is first folded into a fresh
+    /// base (see [`ShardingConfig::overlay_capacity`]).
     pub fn insert(&self, key: Key, value: Value) -> bool {
-        match &self.repr {
-            Repr::Locked(r) => {
-                let shards = r.shards.read();
-                let shard = &shards[locked_shard_of(&shards, key)];
-                let new = shard.index.write().insert(key, value);
-                shard.stale.record_if_structural(!new, true);
-                new
-            }
-            Repr::Rcu(r) => self.rcu_write(r, key, Some(value)).is_none(),
-        }
+        self.write_slot(key, Some(value)).is_none()
     }
 
-    /// The RCU point-write path shared by insert (`Some`) and remove
-    /// (`None`): returns the key's previous value. Retries when the routed
-    /// shard was retired by a concurrent split/merge — with a bounded
-    /// spin-then-yield backoff, because the successor layout is published
-    /// by the racing layout writer and retrying cannot succeed before that
-    /// publication lands (an unbounded retry loop would busy-burn a core
-    /// against a slow split).
-    fn rcu_write(&self, repr: &RcuRepr<I>, key: Key, value: Option<Value>) -> Option<Value> {
+    /// The point-write path shared by insert (`Some`) and remove (`None`):
+    /// returns the key's previous value. Retries when the routed shard was
+    /// retired by a concurrent split/merge — with a bounded spin-then-yield
+    /// backoff, because the successor layout is published by the racing
+    /// layout writer and retrying cannot succeed before that publication
+    /// lands (an unbounded retry loop would busy-burn a core against a slow
+    /// split).
+    fn write_slot(&self, key: Key, value: Option<Value>) -> Option<Value> {
         /// Retired-handle retries before each retry starts yielding the
         /// CPU instead of spinning (the common case re-routes on the first
         /// retry: the layout is published before the retired shard's
@@ -1354,7 +901,7 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
         const RETIRED_RETRY_SPINS: usize = 16;
         let mut retries = 0usize;
         loop {
-            let shard = repr.shard_handle(key);
+            let shard = self.shard_handle(key);
             let writes = shard.writer.lock();
             if shard.retired.load(Ordering::SeqCst) {
                 // A split/merge replaced this handle after we routed to it;
@@ -1371,18 +918,12 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
                 continue;
             }
             let snap = shard.snap.load();
-            if value.is_none()
-                && snap
-                    .overlay
-                    .get(key)
-                    .unwrap_or_else(|| snap.base.get(key))
-                    .is_none()
-            {
+            if value.is_none() && snap.get(key).is_none() {
                 // Removing an absent key publishes nothing (pre-probed so
                 // it also builds no successor overlay).
                 return None;
             }
-            let (overlay, slot) = snap.overlay.with(key, value, shard.take_spare());
+            let (overlay, slot) = snap.overlay.insert(key, value);
             let previous = slot.unwrap_or_else(|| snap.base.get(key));
             // A fresh tombstone adds one; overwriting an existing
             // tombstone slot removes the one it replaces.
@@ -1393,7 +934,7 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
                 (true, false) => snap.len - 1,
                 _ => snap.len,
             };
-            let next = if overlay.len() > repr.overlay_capacity {
+            let next = if overlay.len() > self.overlay_capacity {
                 let folded = ShardSnapshot {
                     base: Arc::clone(&snap.base),
                     overlay,
@@ -1415,7 +956,7 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
                         absorbed: 1,
                     });
                 }
-                ShardSnapshot::clean(Arc::new(folded), repr.overlay)
+                ShardSnapshot::clean(Arc::new(folded))
             } else {
                 if let Some(sink) = &self.sink {
                     // Write-ahead: the log append completes before the
@@ -1430,11 +971,7 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
                     len,
                 }
             };
-            // Drop our handle on the displaced snapshot before publishing
-            // so the grace period can hand it back uniquely owned and its
-            // overlay buffer gets recycled into the next write.
-            drop(snap);
-            shard.publish_salvaging(Arc::new(next));
+            shard.snap.publish(Arc::new(next));
             shard
                 .stale
                 .record_if_structural(previous.is_some(), value.is_some());
@@ -1446,74 +983,45 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
     /// the rayon thread pool — used to apply CSV optimisation (or SALI
     /// workload flattening) to all shards at once. Shards are disjoint by
     /// construction, so per-shard mutations cannot conflict; `f` must be
-    /// `Fn + Sync` because multiple shards run it concurrently.
-    ///
-    /// Locked path: `f` mutates in place under the shard's exclusive lock.
-    /// RCU path: `f` mutates a copy (the overlay folded into a clone of the
-    /// base) that is then published — readers keep flowing throughout.
+    /// `Fn + Sync` because multiple shards run it concurrently. `f` mutates
+    /// a copy (the overlay folded into a clone of the base) that is then
+    /// published — readers keep flowing throughout.
     pub fn with_shards_mut<F>(&self, f: F)
     where
         F: Fn(&mut I) + Sync,
     {
-        match &self.repr {
-            Repr::Locked(r) => {
-                let shards = r.shards.read();
-                shards
-                    .par_iter()
-                    .for_each(|shard| f(&mut shard.index.write()));
-            }
-            Repr::Rcu(r) => {
-                // Exclude splits/merges for the duration (they are the only
-                // operations that retire handles): every shard of the layout
-                // loaded below is live, so no shard's mutation can be lost
-                // to a concurrent re-layout. Readers never touch this lock.
-                let _layout_guard = r.layout_writer.lock();
-                let layout = r.layout.load();
-                layout.shards.par_iter().for_each(|shard| {
-                    let _writes = shard.writer.lock();
-                    debug_assert!(!shard.retired.load(Ordering::SeqCst));
-                    let mut next = shard.snap.load().folded_base();
-                    f(&mut next);
-                    self.checkpoint_into_sink(shard, &next);
-                    shard
-                        .snap
-                        .publish(Arc::new(ShardSnapshot::clean(Arc::new(next), r.overlay)));
-                });
-            }
-        }
+        // Exclude splits/merges for the duration (they are the only
+        // operations that retire handles): every shard of the layout loaded
+        // below is live, so no shard's mutation can be lost to a concurrent
+        // re-layout. Readers never touch this lock.
+        let _layout_guard = self.layout_writer.lock();
+        let layout = self.layout.load();
+        layout
+            .shards
+            .par_iter()
+            .for_each(|shard| self.rebuild_shard(shard, &f));
     }
 
     /// Sequential variant of [`ShardedIndex::with_shards_mut`] for closures
     /// that accumulate state across shards.
     pub fn with_shards_mut_seq<F: FnMut(&mut I)>(&self, mut f: F) {
-        match &self.repr {
-            Repr::Locked(r) => {
-                for shard in r.shards.read().iter() {
-                    f(&mut shard.index.write());
-                }
-            }
-            Repr::Rcu(r) => {
-                // As in `with_shards_mut`: no handle of the layout loaded
-                // under the layout-writer lock can be retired mid-pass.
-                let _layout_guard = r.layout_writer.lock();
-                let layout = r.layout.load();
-                for shard in layout.shards.iter() {
-                    let _writes = shard.writer.lock();
-                    debug_assert!(!shard.retired.load(Ordering::SeqCst));
-                    let mut next = shard.snap.load().folded_base();
-                    f(&mut next);
-                    self.checkpoint_into_sink(shard, &next);
-                    shard
-                        .snap
-                        .publish(Arc::new(ShardSnapshot::clean(Arc::new(next), r.overlay)));
-                }
-            }
+        // As in `with_shards_mut`: no handle of the layout loaded under the
+        // layout-writer lock can be retired mid-pass.
+        let _layout_guard = self.layout_writer.lock();
+        let layout = self.layout.load();
+        for shard in layout.shards.iter() {
+            self.rebuild_shard(shard, &mut f);
         }
     }
 
-    /// Reports a rebuilt base to the sink (no-op without one). Called with
-    /// the shard's writer mutex held, before the rebuild is published.
-    fn checkpoint_into_sink(&self, shard: &RcuShard<I>, next: &I) {
+    /// Folds `shard` into a private base, lets `f` mutate it, checkpoints
+    /// the result into the sink (when one is attached) and publishes it.
+    /// The caller holds the layout-writer lock, so `shard` is live.
+    fn rebuild_shard(&self, shard: &Shard<I>, f: impl FnOnce(&mut I)) {
+        let _writes = shard.writer.lock();
+        debug_assert!(!shard.retired.load(Ordering::SeqCst));
+        let mut next = shard.snap.load().folded_base();
+        f(&mut next);
         if let Some(sink) = &self.sink {
             sink.checkpoint(&ShardCheckpoint {
                 lower_bound: shard.lower_bound,
@@ -1522,6 +1030,9 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
                 absorbed: 0,
             });
         }
+        shard
+            .snap
+            .publish(Arc::new(ShardSnapshot::clean(Arc::new(next))));
     }
 
     /// Forces a durable checkpoint of shard `shard`: folds its overlay into
@@ -1537,10 +1048,7 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
     /// churn bytes).
     pub fn checkpoint_shard(&self, shard: usize) -> Option<u64> {
         let sink = self.sink.as_ref()?;
-        let Repr::Rcu(r) = &self.repr else {
-            return None;
-        };
-        let layout = r.layout.load();
+        let layout = self.layout.load();
         let shard = layout.shards.get(shard)?;
         let _writes = shard.writer.lock();
         if shard.retired.load(Ordering::SeqCst) {
@@ -1560,7 +1068,7 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
         });
         shard
             .snap
-            .publish(Arc::new(ShardSnapshot::clean(Arc::new(folded), r.overlay)));
+            .publish(Arc::new(ShardSnapshot::clean(Arc::new(folded))));
         Some(backlog)
     }
 }
@@ -1571,27 +1079,13 @@ impl<I: LearnedIndex + RangeIndex> ShardedIndex<I> {
     /// the index is returned, and from then on the write path reports every
     /// acknowledged write to the sink *before* publishing it (see
     /// [`DurabilitySink`] for the ordering contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` selects [`ReadPath::Locked`]: the durability
-    /// design rides the RCU fold points, which the locked path does not
-    /// have. The CLI rejects the combination up front.
     pub fn bulk_load_durable(
         records: &[KeyValue],
         config: ShardingConfig,
         sink: Arc<dyn DurabilitySink>,
     ) -> Self {
-        assert_eq!(
-            config.read_path,
-            ReadPath::Rcu,
-            "durability requires the RCU read path"
-        );
         let mut this = Self::bulk_load(records, config);
-        let Repr::Rcu(r) = &this.repr else {
-            unreachable!("asserted above");
-        };
-        let layout = r.layout.load();
+        let layout = this.layout.load();
         let created: Vec<ShardCheckpoint> = layout
             .shards
             .iter()
@@ -1620,30 +1114,20 @@ impl<I: LearnedIndex + RangeIndex> ShardedIndex<I> {
     ///
     /// # Panics
     ///
-    /// Panics when `shards` is empty or `config` selects
-    /// [`ReadPath::Locked`].
+    /// Panics when `shards` is empty.
     pub fn from_recovered(
         shards: Vec<RecoveredShard>,
         config: ShardingConfig,
         sink: Option<Arc<dyn DurabilitySink>>,
     ) -> Self {
-        assert_eq!(
-            config.read_path,
-            ReadPath::Rcu,
-            "durability requires the RCU read path"
-        );
         assert!(!shards.is_empty(), "recovery produced no shards");
         let mut shards = shards;
         shards.sort_by_key(|s| s.lower_bound);
         let mut created = Vec::with_capacity(shards.len());
-        let rcu_shards: Vec<Arc<RcuShard<I>>> = shards
+        let live: Vec<Arc<Shard<I>>> = shards
             .into_iter()
             .map(|recovered| {
-                let shard = RcuShard::new(
-                    recovered.lower_bound,
-                    I::bulk_load(&recovered.records),
-                    config.overlay,
-                );
+                let shard = Shard::new(recovered.lower_bound, I::bulk_load(&recovered.records));
                 shard.stale.load_seed(recovered.stale);
                 created.push(ShardCheckpoint {
                     lower_bound: recovered.lower_bound,
@@ -1657,15 +1141,7 @@ impl<I: LearnedIndex + RangeIndex> ShardedIndex<I> {
         if let Some(sink) = &sink {
             sink.replace_shards(&[], &created);
         }
-        Self {
-            repr: Repr::Rcu(RcuRepr {
-                layout: RcuCell::new(Arc::new(Layout { shards: rcu_shards })),
-                layout_writer: Mutex::new(()),
-                overlay: config.overlay,
-                overlay_capacity: config.effective_overlay_capacity(),
-            }),
-            sink,
-        }
+        Self::from_shards(live, config, sink)
     }
 
     /// `true` when a durability sink is attached.
@@ -1680,24 +1156,18 @@ impl<I: LearnedIndex + RangeIndex> ShardedIndex<I> {
         let Some(sink) = &self.sink else {
             return Vec::new();
         };
-        match &self.repr {
-            Repr::Locked(_) => Vec::new(),
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                layout
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (i, sink.backlog(s.lower_bound)))
-                    .collect()
-            }
-        }
+        let layout = self.layout.load();
+        layout
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i, sink.backlog(s.lower_bound)))
+            .collect()
     }
 
-    /// Range scan `[lo, hi]` across every shard that overlaps the range
-    /// (shared locks on the locked path; pinned snapshots on the RCU path,
-    /// so the scan observes each shard's state at its own visit — the same
-    /// per-shard consistency the locked path provides).
+    /// Range scan `[lo, hi]` across every shard that overlaps the range.
+    /// Each shard's snapshot is pinned at its own visit, so the scan is
+    /// consistent per shard, not across shards.
     pub fn range(&self, lo: Key, hi: Key) -> Vec<KeyValue> {
         let mut out = Vec::new();
         let _ = self.range_visit(lo, hi, &mut |k, v| {
@@ -1722,27 +1192,13 @@ impl<I: LearnedIndex + RangeIndex> ShardedIndex<I> {
         if lo > hi {
             return ControlFlow::Continue(());
         }
-        match &self.repr {
-            Repr::Locked(r) => {
-                let shards = r.shards.read();
-                let first = locked_shard_of(&shards, lo);
-                for (i, shard) in shards.iter().enumerate().skip(first) {
-                    if i > first && shard.lower_bound > hi {
-                        break;
-                    }
-                    shard.index.read().range_visit(lo, hi, f)?;
-                }
+        let layout = self.layout.load();
+        let first = layout.shard_of(lo);
+        for (i, shard) in layout.shards.iter().enumerate().skip(first) {
+            if i > first && shard.lower_bound > hi {
+                break;
             }
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                let first = layout.shard_of(lo);
-                for (i, shard) in layout.shards.iter().enumerate().skip(first) {
-                    if i > first && shard.lower_bound > hi {
-                        break;
-                    }
-                    shard.snap.load().range_visit(lo, hi, f)?;
-                }
-            }
+            shard.snap.load().range_visit(lo, hi, f)?;
         }
         ControlFlow::Continue(())
     }
@@ -1758,93 +1214,61 @@ impl<I: LearnedIndex + RangeIndex> ShardedIndex<I> {
     /// small fresh shard, the split is refused instead of rebuilding the
     /// wrong one.
     ///
-    /// Locked path: takes the *outer* exclusive lock, blocking all other
-    /// operations for the duration of the two bulk loads. RCU path: only
-    /// the target shard's writers block; lookups everywhere — including on
-    /// the shard being split — keep flowing, and observe either the
-    /// pre-split shard or the published halves.
+    /// Only the target shard's writers block; lookups everywhere —
+    /// including on the shard being split — keep flowing, and observe
+    /// either the pre-split shard or the published halves.
     pub fn split_shard(&self, shard: usize, min_keys: usize) -> bool {
-        match &self.repr {
-            Repr::Locked(r) => {
-                let mut shards = r.shards.write();
-                let Some(target) = shards.get(shard) else {
-                    return false;
-                };
-                let records = target.index.read().range(0, Key::MAX);
-                if records.len() < min_keys.max(2) {
-                    return false;
-                }
-                let mid = records.len() / 2;
-                let lower_bound = target.lower_bound;
-                let upper_bound = records[mid].key;
-                let lower = I::bulk_load(&records[..mid]);
-                let upper = I::bulk_load(&records[mid..]);
-                shards[shard] = LockedShard::new(lower_bound, lower);
-                shards.insert(shard + 1, LockedShard::new(upper_bound, upper));
-                true
-            }
-            Repr::Rcu(r) => {
-                let _layout_guard = r.layout_writer.lock();
-                let layout = r.layout.load();
-                let Some(target) = layout.shards.get(shard) else {
-                    return false;
-                };
-                // Block this shard's writers for the duration; readers are
-                // unaffected and keep resolving against the old snapshot
-                // until the new layout is published.
-                let _writes = target.writer.lock();
-                let records = target.snap.load().records();
-                if records.len() < min_keys.max(2) {
-                    return false;
-                }
-                let mid = records.len() / 2;
-                let lower_bound = target.lower_bound;
-                let upper_bound = records[mid].key;
-                let lower = Arc::new(RcuShard::new(
-                    lower_bound,
-                    I::bulk_load(&records[..mid]),
-                    r.overlay,
-                ));
-                let upper = Arc::new(RcuShard::new(
-                    upper_bound,
-                    I::bulk_load(&records[mid..]),
-                    r.overlay,
-                ));
-                if let Some(sink) = &self.sink {
-                    // One durable layout transition: the lower half
-                    // supersedes the old shard (same lower bound), the
-                    // upper half is new. Persisted before the new layout is
-                    // published, so recovery sees either the pre-split
-                    // shard (with its log) or both halves — never a gap.
-                    sink.replace_shards(
-                        &[],
-                        &[
-                            ShardCheckpoint {
-                                lower_bound,
-                                records: records[..mid].to_vec(),
-                                stale: StaleSeed::fresh(mid),
-                                absorbed: 0,
-                            },
-                            ShardCheckpoint {
-                                lower_bound: upper_bound,
-                                records: records[mid..].to_vec(),
-                                stale: StaleSeed::fresh(records.len() - mid),
-                                absorbed: 0,
-                            },
-                        ],
-                    );
-                }
-                let mut shards = layout.shards.clone();
-                shards[shard] = lower;
-                shards.insert(shard + 1, upper);
-                // Retire before publishing: a writer that routed here via
-                // the old layout and is queued on the writer mutex must
-                // re-route once it acquires it.
-                target.retired.store(true, Ordering::SeqCst);
-                r.layout.publish(Arc::new(Layout { shards }));
-                true
-            }
+        let _layout_guard = self.layout_writer.lock();
+        let layout = self.layout.load();
+        let Some(target) = layout.shards.get(shard) else {
+            return false;
+        };
+        // Block this shard's writers for the duration; readers are
+        // unaffected and keep resolving against the old snapshot until the
+        // new layout is published.
+        let _writes = target.writer.lock();
+        let records = target.snap.load().records();
+        if records.len() < min_keys.max(2) {
+            return false;
         }
+        let mid = records.len() / 2;
+        let lower_bound = target.lower_bound;
+        let upper_bound = records[mid].key;
+        let lower = Arc::new(Shard::new(lower_bound, I::bulk_load(&records[..mid])));
+        let upper = Arc::new(Shard::new(upper_bound, I::bulk_load(&records[mid..])));
+        if let Some(sink) = &self.sink {
+            // One durable layout transition: the lower half supersedes the
+            // old shard (same lower bound), the upper half is new.
+            // Persisted before the new layout is published, so recovery
+            // sees either the pre-split shard (with its log) or both halves
+            // — never a gap.
+            sink.replace_shards(
+                &[],
+                &[
+                    ShardCheckpoint {
+                        lower_bound,
+                        records: records[..mid].to_vec(),
+                        stale: StaleSeed::fresh(mid),
+                        absorbed: 0,
+                    },
+                    ShardCheckpoint {
+                        lower_bound: upper_bound,
+                        records: records[mid..].to_vec(),
+                        stale: StaleSeed::fresh(records.len() - mid),
+                        absorbed: 0,
+                    },
+                ],
+            );
+        }
+        let mut shards = layout.shards.clone();
+        shards[shard] = lower;
+        shards.insert(shard + 1, upper);
+        // Retire before publishing: a writer that routed here via the old
+        // layout and is queued on the writer mutex must re-route once it
+        // acquires it.
+        target.retired.store(true, Ordering::SeqCst);
+        self.layout.publish(Arc::new(Layout { shards }));
+        true
     }
 
     /// Merges shard `shard` with its right neighbour `shard + 1` — the
@@ -1855,88 +1279,54 @@ impl<I: LearnedIndex + RangeIndex> ShardedIndex<I> {
     /// `max_keys` (the engine passes its split threshold here so a merge
     /// can never immediately re-trigger a split).
     pub fn merge_shards(&self, shard: usize, max_keys: usize) -> bool {
-        match &self.repr {
-            Repr::Locked(r) => {
-                let mut shards = r.shards.write();
-                if shard + 1 >= shards.len() {
-                    return false;
-                }
-                let mut records = shards[shard].index.read().range(0, Key::MAX);
-                records.extend(shards[shard + 1].index.read().range(0, Key::MAX));
-                if records.len() > max_keys {
-                    return false;
-                }
-                let lower_bound = shards[shard].lower_bound;
-                shards[shard] = LockedShard::new(lower_bound, I::bulk_load(&records));
-                shards.remove(shard + 1);
-                true
-            }
-            Repr::Rcu(r) => {
-                let _layout_guard = r.layout_writer.lock();
-                let layout = r.layout.load();
-                if shard + 1 >= layout.shards.len() {
-                    return false;
-                }
-                let left = &layout.shards[shard];
-                let right = &layout.shards[shard + 1];
-                // Lock order (left before right) is globally consistent
-                // because only split/merge hold two shard writers and both
-                // serialize on `layout_writer`.
-                let _left_writes = left.writer.lock();
-                let _right_writes = right.writer.lock();
-                let mut records = left.snap.load().records();
-                records.extend(right.snap.load().records());
-                if records.len() > max_keys {
-                    return false;
-                }
-                let merged = Arc::new(RcuShard::new(
-                    left.lower_bound,
-                    I::bulk_load(&records),
-                    r.overlay,
-                ));
-                if let Some(sink) = &self.sink {
-                    // One durable layout transition: the combined shard
-                    // supersedes the left one, the right one is retired.
-                    let total = records.len();
-                    sink.replace_shards(
-                        &[right.lower_bound],
-                        &[ShardCheckpoint {
-                            lower_bound: left.lower_bound,
-                            records,
-                            stale: StaleSeed::fresh(total),
-                            absorbed: 0,
-                        }],
-                    );
-                }
-                let mut shards = layout.shards.clone();
-                shards[shard] = merged;
-                shards.remove(shard + 1);
-                left.retired.store(true, Ordering::SeqCst);
-                right.retired.store(true, Ordering::SeqCst);
-                r.layout.publish(Arc::new(Layout { shards }));
-                true
-            }
+        let _layout_guard = self.layout_writer.lock();
+        let layout = self.layout.load();
+        if shard + 1 >= layout.shards.len() {
+            return false;
         }
+        let left = &layout.shards[shard];
+        let right = &layout.shards[shard + 1];
+        // Lock order (left before right) is globally consistent because
+        // only split/merge hold two shard writers and both serialize on
+        // `layout_writer`.
+        let _left_writes = left.writer.lock();
+        let _right_writes = right.writer.lock();
+        let mut records = left.snap.load().records();
+        records.extend(right.snap.load().records());
+        if records.len() > max_keys {
+            return false;
+        }
+        let merged = Arc::new(Shard::new(left.lower_bound, I::bulk_load(&records)));
+        if let Some(sink) = &self.sink {
+            // One durable layout transition: the combined shard supersedes
+            // the left one, the right one is retired.
+            let total = records.len();
+            sink.replace_shards(
+                &[right.lower_bound],
+                &[ShardCheckpoint {
+                    lower_bound: left.lower_bound,
+                    records,
+                    stale: StaleSeed::fresh(total),
+                    absorbed: 0,
+                }],
+            );
+        }
+        let mut shards = layout.shards.clone();
+        shards[shard] = merged;
+        shards.remove(shard + 1);
+        left.retired.store(true, Ordering::SeqCst);
+        right.retired.store(true, Ordering::SeqCst);
+        self.layout.publish(Arc::new(Layout { shards }));
+        true
     }
 }
 
 impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
-    /// Removes `key` and returns its value when it was present.
-    ///
-    /// Locked path: exclusive lock on one shard. RCU path: publishes a
+    /// Removes `key` and returns its value when it was present. Publishes a
     /// tombstone into the owning shard's overlay (folded out at the next
     /// overlay fold), so readers never observe a half-removed state.
     pub fn remove(&self, key: Key) -> Option<Value> {
-        match &self.repr {
-            Repr::Locked(r) => {
-                let shards = r.shards.read();
-                let shard = &shards[locked_shard_of(&shards, key)];
-                let removed = shard.index.write().remove(key);
-                shard.stale.record_if_structural(removed.is_some(), false);
-                removed
-            }
-            Repr::Rcu(r) => self.rcu_write(r, key, None),
-        }
+        self.write_slot(key, None)
     }
 
     /// Applies a whole batch of point writes as one group commit,
@@ -1948,9 +1338,8 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
     ///
     /// * the batch is shard-partitioned with the same routing pass
     ///   [`ShardedIndex::multi_get`] uses;
-    /// * each shard's slice lands on the overlay in a **single** pass (one
-    ///   merge for the flat representation, one bulk chunk-tree ingest for
-    ///   the persistent one);
+    /// * each shard's slice lands on the overlay in a **single** bulk
+    ///   chunk-tree ingest;
     /// * each touched shard publishes **one** successor snapshot — one
     ///   `Arc` allocation and one RCU grace period for the whole slice;
     /// * a durability sink receives **one** [`DurabilitySink::log_writes`]
@@ -1959,48 +1348,12 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
     ///   slice trips are checkpointed exactly where point-wise application
     ///   would have folded.
     ///
-    /// On the locked path the batch takes each touched shard's exclusive
-    /// lock once instead of once per write. Ops apply sequentially in
-    /// batch order (later ops of the batch observe earlier ones).
+    /// Ops apply sequentially in batch order (later ops of the batch
+    /// observe earlier ones).
     pub fn write_batch(&self, ops: &[WriteOp]) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
-        if ops.is_empty() {
-            return outcome;
-        }
-        match &self.repr {
-            Repr::Locked(r) => {
-                let shards = r.shards.read();
-                with_route_scratch(shards.len(), |buckets| {
-                    for (i, op) in ops.iter().enumerate() {
-                        buckets[locked_shard_of(&shards, op.key())].push(i as u32);
-                    }
-                    for (shard, bucket) in shards.iter().zip(buckets.iter()) {
-                        if bucket.is_empty() {
-                            continue;
-                        }
-                        let mut structural = 0usize;
-                        {
-                            let mut index = shard.index.write();
-                            for &i in bucket {
-                                match ops[i as usize] {
-                                    WriteOp::Insert { key, value } => {
-                                        let fresh = index.insert(key, value);
-                                        outcome.fresh_inserts += usize::from(fresh);
-                                        structural += usize::from(fresh);
-                                    }
-                                    WriteOp::Remove { key } => {
-                                        let hit = index.remove(key).is_some();
-                                        outcome.removed += usize::from(hit);
-                                        structural += usize::from(hit);
-                                    }
-                                }
-                            }
-                        }
-                        shard.stale.record_structural(structural);
-                    }
-                });
-            }
-            Repr::Rcu(r) => self.rcu_write_batch(r, ops, &mut outcome),
+        if !ops.is_empty() {
+            self.route_batch(ops, &mut outcome);
         }
         outcome
     }
@@ -2025,20 +1378,20 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
         self.write_batch(&ops).removed
     }
 
-    /// The RCU group-commit path behind [`ShardedIndex::write_batch`]:
-    /// routes the batch per shard, applies each shard's slice under its
-    /// writer mutex and re-routes any slice whose shard a concurrent
-    /// split/merge retired — with the same bounded spin-then-yield backoff
-    /// as `rcu_write`, because retrying cannot succeed
-    /// before the racing layout writer publishes the successor layout.
-    fn rcu_write_batch(&self, repr: &RcuRepr<I>, ops: &[WriteOp], outcome: &mut BatchOutcome) {
+    /// The group-commit path behind [`ShardedIndex::write_batch`]: routes
+    /// the batch per shard, applies each shard's slice under its writer
+    /// mutex and re-routes any slice whose shard a concurrent split/merge
+    /// retired — with the same bounded spin-then-yield backoff as
+    /// `write_slot`, because retrying cannot succeed before the racing
+    /// layout writer publishes the successor layout.
+    fn route_batch(&self, ops: &[WriteOp], outcome: &mut BatchOutcome) {
         const RETIRED_RETRY_SPINS: usize = 16;
         // Positions not yet applied; re-routed against a fresh layout every
         // pass (a single pass in the common, re-layout-free case).
         let mut pending_ops: Vec<u32> = (0..ops.len() as u32).collect();
         let mut retries = 0usize;
         while !pending_ops.is_empty() {
-            let layout = repr.layout.load();
+            let layout = self.layout.load();
             let mut parked: Vec<u32> = Vec::new();
             with_route_scratch(layout.shards.len(), |buckets| {
                 for &i in &pending_ops {
@@ -2058,7 +1411,7 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
                         RETIRED_RETRIES.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
-                    self.rcu_apply_slice(repr, shard, ops, bucket, outcome);
+                    self.apply_slice(shard, ops, bucket, outcome);
                 }
             });
             pending_ops = parked;
@@ -2078,22 +1431,21 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
     /// caller.
     ///
     /// The slice's overlay slots are prefetched in **one** bulk
-    /// [`Overlay::get_many`] pass (each overlay chunk is visited once for
-    /// the whole slice, not once per op), staged writes live in a flat
-    /// sorted key/slot pair of vectors, and every per-op scalar — previous
-    /// value, tombstone and length deltas, structural effect, projected
-    /// overlay length — is tracked exactly as sequential point-wise
-    /// application would have published it. When the projected overlay
-    /// crosses the capacity mid-slice, the staged writes are folded into a
-    /// fresh base *at that op* (same fold boundary, same checkpoint seed
-    /// as the point path, with `absorbed` covering every
-    /// staged-but-unlogged write), and the rest of the slice continues on
-    /// the folded state. Everything still staged at the end is logged as
-    /// one group frame and published as one successor snapshot.
-    fn rcu_apply_slice(
+    /// [`PMap::get_many`] pass (each overlay chunk is visited once for the
+    /// whole slice, not once per op), staged writes live in a flat sorted
+    /// key/slot pair of vectors, and every per-op scalar — previous value,
+    /// tombstone and length deltas, structural effect, projected overlay
+    /// length — is tracked exactly as sequential point-wise application
+    /// would have published it. When the projected overlay crosses the
+    /// capacity mid-slice, the staged writes are folded into a fresh base
+    /// *at that op* (same fold boundary, same checkpoint seed as the point
+    /// path, with `absorbed` covering every staged-but-unlogged write), and
+    /// the rest of the slice continues on the folded state. Everything
+    /// still staged at the end is logged as one group frame and published
+    /// as one successor snapshot.
+    fn apply_slice(
         &self,
-        repr: &RcuRepr<I>,
-        shard: &RcuShard<I>,
+        shard: &Shard<I>,
         ops: &[WriteOp],
         bucket: &[u32],
         outcome: &mut BatchOutcome,
@@ -2107,10 +1459,10 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
             Staged(Option<Value>),
         }
         let snap = shard.snap.load();
-        let empty = Overlay::empty(repr.overlay);
+        let empty = PMap::new();
         // Working state: `beneath` is the overlay below this batch's staged
         // writes (the snapshot's until a mid-slice fold empties it).
-        let mut beneath: &Overlay = &snap.overlay;
+        let mut beneath: &PMap<Key, Option<Value>> = &snap.overlay;
         let mut base = Arc::clone(&snap.base);
         // Prefetch every slice key's overlay slot in one merged pass; the
         // per-op loop then probes this flat sorted pair of vectors instead
@@ -2118,9 +1470,8 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
         let mut keys: Vec<Key> = bucket.iter().map(|&i| ops[i as usize].key()).collect();
         keys.sort_unstable();
         keys.dedup();
-        let mut fetched: Vec<Option<Option<Value>>> = vec![None; keys.len()];
-        beneath.get_many(&keys, &mut fetched);
-        let mut slots: Vec<SlotState> = fetched.into_iter().map(SlotState::Fetched).collect();
+        let mut slots: Vec<SlotState> = vec![SlotState::Fetched(None); keys.len()];
+        beneath.get_many(&keys, |i, v| slots[i] = SlotState::Fetched(Some(*v)));
         let staged_of = |keys: &[Key], slots: &[SlotState]| -> Vec<(Key, Option<Value>)> {
             keys.iter()
                 .zip(slots)
@@ -2175,7 +1526,7 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
             projected += usize::from(slot.is_none());
             slots[idx] = SlotState::Staged(value);
             tail.push(WriteRecord { key, value });
-            if projected > repr.overlay_capacity {
+            if projected > self.overlay_capacity {
                 // Fold exactly where point-wise application would have:
                 // the staged writes merge onto the overlay (one pass) and
                 // the result folds into a fresh base that this op — and
@@ -2184,7 +1535,7 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
                 let staged = staged_of(&keys, &slots);
                 let folded_base = ShardSnapshot {
                     base,
-                    overlay: beneath.ingest(&staged, Vec::new()),
+                    overlay: beneath.insert_many(&staged),
                     tombstones,
                     len,
                 }
@@ -2226,17 +1577,16 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
         let staged = staged_of(&keys, &slots);
         let next = if staged.is_empty() {
             debug_assert_eq!(base.len(), len);
-            ShardSnapshot::clean(base, repr.overlay)
+            ShardSnapshot::clean(base)
         } else {
             ShardSnapshot {
-                overlay: beneath.ingest(&staged, shard.take_spare()),
+                overlay: beneath.insert_many(&staged),
                 base,
                 tombstones,
                 len,
             }
         };
-        drop(snap);
-        shard.publish_salvaging(Arc::new(next));
+        shard.snap.publish(Arc::new(next));
         shard.stale.record_structural(structural);
     }
 }
@@ -2248,11 +1598,7 @@ impl<I: SnapshotIndex + RangeIndex + CsvIntegrable> ShardedIndex<I> {
     /// pool, so nesting the optimizer's own parallelism inside would only
     /// oversubscribe. Returns the per-shard reports in shard (key) order.
     ///
-    /// Locked path: per level, the read phase (key collection, smoothing,
-    /// cost condition) runs under a *shared* lock, so concurrent `get`s
-    /// proceed during the expensive smoothing work; the exclusive lock is
-    /// only held while the planned rebuilds are applied. RCU path: the
-    /// whole pass — plan *and* apply — runs against a private successor
+    /// The whole pass — plan *and* apply — runs against a private successor
     /// (overlay folded into a clone of the base) and is published with one
     /// pointer swap, so lookups never wait at all; the shard's point
     /// writers queue on its writer mutex for the duration.
@@ -2261,58 +1607,32 @@ impl<I: SnapshotIndex + RangeIndex + CsvIntegrable> ShardedIndex<I> {
     /// shard is marked clean and its staleness counters reset, exactly as
     /// [`ShardedIndex::maintain_shard`] would.
     pub fn optimize(&self, optimizer: &CsvOptimizer) -> Vec<CsvReport> {
-        match &self.repr {
-            Repr::Locked(r) => {
-                let shards = r.shards.read();
-                shards
-                    .par_iter()
-                    .map(|shard| {
-                        let started = Instant::now();
-                        let mut report = CsvReport::default();
-                        let levels = optimizer.sweep_levels(&*shard.index.read());
-                        if let Some((start_level, stop_level)) = levels {
-                            for level in (stop_level..=start_level).rev() {
-                                // Plan under the shared lock (dropped before
-                                // apply).
-                                let plan = optimizer.plan_level(&*shard.index.read(), level);
-                                plan.apply_into(&mut *shard.index.write(), &mut report);
-                            }
-                        }
-                        locked_finish_maintenance(shard);
-                        report.preprocessing_time = started.elapsed();
-                        report
-                    })
-                    .collect()
-            }
-            Repr::Rcu(r) => {
-                // Exclude splits/merges for the whole pass so every shard
-                // of this layout stays live: a handle retired mid-pass
-                // would silently drop its report and leave the successor
-                // shards un-optimised. Readers are unaffected.
-                let _layout_guard = r.layout_writer.lock();
-                let layout = r.layout.load();
-                layout
-                    .shards
-                    .par_iter()
-                    .map(|shard| {
-                        let started = Instant::now();
-                        let mut report = CsvReport::default();
-                        let _writes = shard.writer.lock();
-                        debug_assert!(!shard.retired.load(Ordering::SeqCst));
-                        let mut next = shard.snap.load().folded_base();
-                        if let Some((start_level, stop_level)) = optimizer.sweep_levels(&next) {
-                            for level in (stop_level..=start_level).rev() {
-                                let plan = optimizer.plan_level(&next, level);
-                                plan.apply_into(&mut next, &mut report);
-                            }
-                        }
-                        rcu_finish_maintenance(shard, next, r.overlay, self.sink.as_ref());
-                        report.preprocessing_time = started.elapsed();
-                        report
-                    })
-                    .collect()
-            }
-        }
+        // Exclude splits/merges for the whole pass so every shard of this
+        // layout stays live: a handle retired mid-pass would silently drop
+        // its report and leave the successor shards un-optimised. Readers
+        // are unaffected.
+        let _layout_guard = self.layout_writer.lock();
+        let layout = self.layout.load();
+        layout
+            .shards
+            .par_iter()
+            .map(|shard| {
+                let started = Instant::now();
+                let mut report = CsvReport::default();
+                let _writes = shard.writer.lock();
+                debug_assert!(!shard.retired.load(Ordering::SeqCst));
+                let mut next = shard.snap.load().folded_base();
+                if let Some((start_level, stop_level)) = optimizer.sweep_levels(&next) {
+                    for level in (stop_level..=start_level).rev() {
+                        let plan = optimizer.plan_level(&next, level);
+                        plan.apply_into(&mut next, &mut report);
+                    }
+                }
+                self.finish_maintenance(shard, next);
+                report.preprocessing_time = started.elapsed();
+                report
+            })
+            .collect()
     }
 
     /// Incrementally re-optimises one shard: per sweep level, the *dirty*
@@ -2320,12 +1640,10 @@ impl<I: SnapshotIndex + RangeIndex + CsvIntegrable> ShardedIndex<I> {
     /// marked clean) are re-planned and the accepted rebuilds applied. The
     /// shard is then marked clean and its staleness counters reset.
     ///
-    /// Locked path: plan under the shard's shared lock, apply under its
-    /// short exclusive lock; writes landing between the phases are safe
-    /// (stale layouts are refused). RCU path: plan on the live snapshot,
-    /// apply onto a clone, publish with one swap — the apply phase holds no
-    /// lock readers can observe, and the shard's own writers (who queue on
-    /// the writer mutex) cannot interleave, so no refusal races exist.
+    /// Plans on the live snapshot, applies onto a clone, publishes with one
+    /// swap — the apply phase holds no lock readers can observe, and the
+    /// shard's own writers (who queue on the writer mutex) cannot
+    /// interleave, so no refusal races exist.
     ///
     /// Returns the shard's CSV report, or `None` when `shard` is out of
     /// bounds (a split/merge may have changed the layout since the caller
@@ -2350,172 +1668,106 @@ impl<I: SnapshotIndex + RangeIndex + CsvIntegrable> ShardedIndex<I> {
         deadline: Option<Instant>,
     ) -> Option<MaintainProgress> {
         let started = Instant::now();
-        match &self.repr {
-            Repr::Locked(r) => {
-                let shards = r.shards.read();
-                let shard = shards.get(shard)?;
-                let mut report = CsvReport::default();
-                let mut resume_level = None;
-                // Bind the sweep bounds first: an inline `if let` scrutinee
-                // would keep the read guard alive across the loop body,
-                // self-deadlocking against the apply phase's write lock.
-                let levels = optimizer.sweep_levels(&*shard.index.read());
-                if let Some((start_level, stop_level)) = levels {
-                    let from = resume_from
-                        .unwrap_or(start_level)
-                        .clamp(stop_level, start_level);
-                    for level in (stop_level..=from).rev() {
-                        let plan = optimizer.plan_dirty_level(&*shard.index.read(), level);
-                        plan.apply_into(&mut *shard.index.write(), &mut report);
-                        if level > stop_level && deadline.is_some_and(|d| Instant::now() >= d) {
-                            resume_level = Some(level - 1);
-                            break;
-                        }
-                    }
+        let layout = self.layout.load();
+        let shard = layout.shards.get(shard)?;
+        let _writes = shard.writer.lock();
+        if shard.retired.load(Ordering::SeqCst) {
+            return None;
+        }
+        let mut report = CsvReport::default();
+        let mut resume_level = None;
+        let mut next = shard.snap.load().folded_base();
+        if let Some((start_level, stop_level)) = optimizer.sweep_levels(&next) {
+            let from = resume_from
+                .unwrap_or(start_level)
+                .clamp(stop_level, start_level);
+            for level in (stop_level..=from).rev() {
+                let plan = optimizer.plan_dirty_level(&next, level);
+                plan.apply_into(&mut next, &mut report);
+                if level > stop_level && deadline.is_some_and(|d| Instant::now() >= d) {
+                    resume_level = Some(level - 1);
+                    break;
                 }
-                if resume_level.is_none() {
-                    locked_finish_maintenance(shard);
-                }
-                report.preprocessing_time = started.elapsed();
-                Some(MaintainProgress {
-                    report,
-                    resume_level,
-                })
-            }
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                let shard = layout.shards.get(shard)?;
-                let _writes = shard.writer.lock();
-                if shard.retired.load(Ordering::SeqCst) {
-                    return None;
-                }
-                let mut report = CsvReport::default();
-                let mut resume_level = None;
-                let mut next = shard.snap.load().folded_base();
-                if let Some((start_level, stop_level)) = optimizer.sweep_levels(&next) {
-                    let from = resume_from
-                        .unwrap_or(start_level)
-                        .clamp(stop_level, start_level);
-                    for level in (stop_level..=from).rev() {
-                        let plan = optimizer.plan_dirty_level(&next, level);
-                        plan.apply_into(&mut next, &mut report);
-                        if level > stop_level && deadline.is_some_and(|d| Instant::now() >= d) {
-                            resume_level = Some(level - 1);
-                            break;
-                        }
-                    }
-                }
-                if resume_level.is_none() {
-                    rcu_finish_maintenance(shard, next, r.overlay, self.sink.as_ref());
-                } else {
-                    // Publish the partial progress (dirty marks intact, no
-                    // counter reset) so the next tick resumes from it. No
-                    // sink call: the rebuild is content-preserving, so the
-                    // shard's previous checkpoint plus its (un-truncated)
-                    // log still recover exactly this state.
-                    shard
-                        .snap
-                        .publish(Arc::new(ShardSnapshot::clean(Arc::new(next), r.overlay)));
-                }
-                report.preprocessing_time = started.elapsed();
-                Some(MaintainProgress {
-                    report,
-                    resume_level,
-                })
             }
         }
+        if resume_level.is_none() {
+            self.finish_maintenance(shard, next);
+        } else {
+            // Publish the partial progress (dirty marks intact, no counter
+            // reset) so the next tick resumes from it. No sink call: the
+            // rebuild is content-preserving, so the shard's previous
+            // checkpoint plus its (un-truncated) log still recover exactly
+            // this state.
+            shard
+                .snap
+                .publish(Arc::new(ShardSnapshot::clean(Arc::new(next))));
+        }
+        report.preprocessing_time = started.elapsed();
+        Some(MaintainProgress {
+            report,
+            resume_level,
+        })
     }
-}
 
-/// Locked-path epilogue: marks a shard clean and resets its staleness
-/// bookkeeping. Only the flag sweep of `csv_mark_clean` runs under the
-/// exclusive lock; the O(n) structure walk that records the level-drift
-/// baseline happens under the shared lock afterwards, so lookups are never
-/// blocked behind it. A write landing between the two sections merely makes
-/// the baseline marginally stale, which the staleness heuristic tolerates
-/// by design.
-fn locked_finish_maintenance<I: LearnedIndex + CsvIntegrable>(shard: &LockedShard<I>) {
-    {
-        let mut guard = shard.index.write();
-        guard.csv_mark_clean();
+    /// Maintenance epilogue: marks the successor clean, checkpoints it into
+    /// the sink (when one is attached — before publication, like every
+    /// durable transition), publishes it, and resets the staleness
+    /// bookkeeping. The structure walk runs on the private successor before
+    /// publication — no reader ever waits on it — and the shard's writer
+    /// mutex (held by the caller) keeps writes from interleaving with the
+    /// counter reset.
+    fn finish_maintenance(&self, shard: &Shard<I>, mut next: I) {
+        next.csv_mark_clean();
+        let mean = next.stats().mean_key_level();
+        if let Some(sink) = &self.sink {
+            sink.checkpoint(&ShardCheckpoint {
+                lower_bound: shard.lower_bound,
+                records: next.range(0, Key::MAX),
+                stale: StaleSeed {
+                    writes: 0,
+                    maintained: true,
+                    mean_level: mean,
+                },
+                absorbed: 0,
+            });
+        }
+        shard
+            .snap
+            .publish(Arc::new(ShardSnapshot::clean(Arc::new(next))));
         shard.stale.reset_writes();
+        shard.stale.mark_maintained(mean);
     }
-    let mean = shard.index.read().stats().mean_key_level();
-    shard.stale.mark_maintained(mean);
 }
 
-/// RCU-path epilogue: marks the successor clean, checkpoints it into the
-/// sink (when one is attached — before publication, like every durable
-/// transition), publishes it, and resets the staleness bookkeeping. The
-/// structure walk runs on the private successor before publication — no
-/// reader ever waits on it — and the shard's writer mutex (held by the
-/// caller) keeps writes from interleaving with the counter reset.
-fn rcu_finish_maintenance<I: LearnedIndex + RangeIndex + CsvIntegrable>(
-    shard: &RcuShard<I>,
-    mut next: I,
-    repr: OverlayRepr,
-    sink: Option<&Arc<dyn DurabilitySink>>,
-) {
-    next.csv_mark_clean();
-    let mean = next.stats().mean_key_level();
-    if let Some(sink) = sink {
-        sink.checkpoint(&ShardCheckpoint {
-            lower_bound: shard.lower_bound,
-            records: next.range(0, Key::MAX),
-            stale: StaleSeed {
-                writes: 0,
-                maintained: true,
-                mean_level: mean,
-            },
-            absorbed: 0,
-        });
-    }
-    shard
-        .snap
-        .publish(Arc::new(ShardSnapshot::clean(Arc::new(next), repr)));
-    shard.stale.reset_writes();
-    shard.stale.mark_maintained(mean);
-}
-
-/// Test-only tally of retired-handle retries in [`ShardedIndex::rcu_write`]
-/// (other threads' retries included): lets stress tests assert the
-/// re-route race actually occurred.
+/// Test-only tally of retired-handle retries in the write paths (other
+/// threads' retries included): lets stress tests assert the re-route race
+/// actually occurred.
 #[cfg(test)]
 static RETIRED_RETRIES: AtomicUsize = AtomicUsize::new(0);
 
 #[cfg(test)]
 impl<I: LearnedIndex> ShardedIndex<I> {
-    /// Test hook: per-shard published-overlay lengths on the RCU path, for
-    /// the fold-boundary pin.
+    /// Test hook: per-shard published-overlay lengths, for the
+    /// fold-boundary pin.
     fn overlay_lens(&self) -> Vec<usize> {
-        match &self.repr {
-            Repr::Locked(_) => panic!("overlay hook is for the RCU representation"),
-            Repr::Rcu(r) => {
-                let layout = r.layout.load();
-                layout
-                    .shards
-                    .iter()
-                    .map(|s| s.snap.read(|snap| snap.overlay.len()))
-                    .collect()
-            }
-        }
+        let layout = self.layout.load();
+        layout
+            .shards
+            .iter()
+            .map(|s| s.snap.read(|snap| snap.overlay.len()))
+            .collect()
     }
 
-    /// Test hook: runs `f` while holding **every** writer-side lock of the
-    /// RCU representation (the layout writer and each shard's writer
-    /// mutex). If a reader-path operation acquired any of them, calling it
-    /// from another thread while `f` runs would deadlock — which is exactly
-    /// what the zero-lock structural test checks cannot happen.
+    /// Test hook: runs `f` while holding **every** writer-side lock (the
+    /// layout writer and each shard's writer mutex). If a reader-path
+    /// operation acquired any of them, calling it from another thread while
+    /// `f` runs would deadlock — which is exactly what the zero-lock
+    /// structural test checks cannot happen.
     fn with_all_writer_locks_held<R>(&self, f: impl FnOnce() -> R) -> R {
-        match &self.repr {
-            Repr::Locked(_) => panic!("writer-lock hook is for the RCU representation"),
-            Repr::Rcu(r) => {
-                let _layout_guard = r.layout_writer.lock();
-                let layout = r.layout.load();
-                let _shard_guards: Vec<_> = layout.shards.iter().map(|s| s.writer.lock()).collect();
-                f()
-            }
-        }
+        let _layout_guard = self.layout_writer.lock();
+        let layout = self.layout.load();
+        let _shard_guards: Vec<_> = layout.shards.iter().map(|s| s.writer.lock()).collect();
+        f()
     }
 }
 
@@ -2528,11 +1780,8 @@ mod tests {
     use csv_lipp::LippIndex;
     use std::collections::BTreeMap;
 
-    const BOTH_PATHS: [ReadPath; 2] = [ReadPath::Locked, ReadPath::Rcu];
-    const BOTH_OVERLAYS: [OverlayRepr; 2] = [OverlayRepr::Vec, OverlayRepr::Persistent];
-
-    fn config(num_shards: usize, read_path: ReadPath) -> ShardingConfig {
-        ShardingConfig::with_shards(num_shards).with_read_path(read_path)
+    fn config(num_shards: usize) -> ShardingConfig {
+        ShardingConfig::with_shards(num_shards)
     }
 
     #[test]
@@ -2540,27 +1789,21 @@ mod tests {
         let keys = Dataset::Osm.generate(40_000, 3);
         let records = identity_records(&keys);
         let flat = LippIndex::bulk_load(&records);
-        for path in BOTH_PATHS {
-            let sharded = ShardedIndex::<LippIndex>::bulk_load(
-                &records,
-                ShardingConfig::default().with_read_path(path),
-            );
-            assert_eq!(sharded.read_path(), path);
-            assert_eq!(sharded.num_shards(), 16);
-            assert_eq!(sharded.len(), flat.len());
-            for &k in keys.iter().step_by(37) {
-                assert_eq!(sharded.get(k), flat.get(k));
-            }
-            assert_eq!(sharded.get(keys[0].wrapping_sub(1)), None);
-            assert_eq!(sharded.get(*keys.last().unwrap() + 1), None);
+        let sharded = ShardedIndex::<LippIndex>::bulk_load(&records, ShardingConfig::default());
+        assert_eq!(sharded.num_shards(), 16);
+        assert_eq!(sharded.len(), flat.len());
+        for &k in keys.iter().step_by(37) {
+            assert_eq!(sharded.get(k), flat.get(k));
         }
+        assert_eq!(sharded.get(keys[0].wrapping_sub(1)), None);
+        assert_eq!(sharded.get(*keys.last().unwrap() + 1), None);
     }
 
     /// The serving batch path: `multi_get` must return exactly what N
     /// individual `get`s would — in input order, hits and misses alike —
-    /// on both read paths, both overlay representations, with pending
-    /// overlay writes (upserts and tombstones) in play, and through both
-    /// the default `get_many` (B+-tree) and LIPP's lockstep override.
+    /// with pending overlay writes (upserts and tombstones) in play, and
+    /// through both the default `get_many` (B+-tree) and LIPP's lockstep
+    /// override.
     #[test]
     fn multi_get_matches_individual_gets_everywhere() {
         multi_get_matches_individual_gets::<BPlusTree>();
@@ -2594,124 +1837,100 @@ mod tests {
             for &k in keys.iter().step_by(17).skip(1000).take(3) {
                 sharded.remove(k);
             }
-            if let Some(view) = sharded.read_view() {
-                let pending: Vec<Option<Value>> = batch
-                    .iter()
-                    .filter_map(|&k| {
-                        let shard = shard_for_key(&view.shards, k, |(lower, _)| *lower);
-                        view.shards[shard].1.overlay.get(k)
-                    })
-                    .collect();
-                assert!(pending.iter().any(Option::is_some), "no pending upsert");
-                assert!(pending.iter().any(Option::is_none), "no pending tombstone");
-            }
+            let view = sharded.read_view().expect("read_view is always Some");
+            let pending: Vec<Option<Value>> = batch
+                .iter()
+                .filter_map(|&k| {
+                    let shard = shard_for_key(&view.shards, k, |(lower, _)| *lower);
+                    view.shards[shard].1.overlay.get(&k).copied()
+                })
+                .collect();
+            assert!(pending.iter().any(Option::is_some), "no pending upsert");
+            assert!(pending.iter().any(Option::is_none), "no pending tombstone");
         };
         for shards in [8, 1] {
-            for path in BOTH_PATHS {
-                for overlay in BOTH_OVERLAYS {
-                    let name = format!("{shards} shards/{path:?}/{overlay:?}");
-                    let sharded = ShardedIndex::<I>::bulk_load(
-                        &records,
-                        config(shards, path)
-                            .with_overlay(overlay)
-                            .with_overlay_capacity(64),
-                    );
-                    // Clean overlays first (the batch goes to the base
-                    // index whole), then dirty ones.
-                    for dirtied in [false, true] {
-                        if dirtied {
-                            dirty(&sharded);
-                        }
-                        let individually: Vec<Option<Value>> =
-                            batch.iter().map(|&k| sharded.get(k)).collect();
-                        assert_eq!(sharded.multi_get(&batch), individually, "{name}");
-                        // Every prefix length around the lockstep block.
-                        for len in [1, LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 64] {
-                            assert_eq!(
-                                sharded.multi_get(&batch[..len]),
-                                individually[..len],
-                                "{name}, {len} keys"
-                            );
-                        }
-                        // The pinned view agrees with itself and the index.
-                        if let Some(view) = sharded.read_view() {
-                            let via_view: Vec<Option<Value>> =
-                                batch.iter().map(|&k| view.get(k)).collect();
-                            assert_eq!(view.multi_get(&batch), via_view, "{name}");
-                            assert_eq!(via_view, individually);
-                        }
-                    }
-                    assert!(sharded.multi_get(&[]).is_empty());
+            let name = format!("{shards} shards");
+            let sharded =
+                ShardedIndex::<I>::bulk_load(&records, config(shards).with_overlay_capacity(64));
+            // Clean overlays first (the batch goes to the base index
+            // whole), then dirty ones.
+            for dirtied in [false, true] {
+                if dirtied {
+                    dirty(&sharded);
                 }
+                let individually: Vec<Option<Value>> =
+                    batch.iter().map(|&k| sharded.get(k)).collect();
+                assert_eq!(sharded.multi_get(&batch), individually, "{name}");
+                // Every prefix length around the lockstep block.
+                for len in [1, LOOKUP_BLOCK - 1, LOOKUP_BLOCK, LOOKUP_BLOCK + 1, 64] {
+                    assert_eq!(
+                        sharded.multi_get(&batch[..len]),
+                        individually[..len],
+                        "{name}, {len} keys"
+                    );
+                }
+                // The pinned view agrees with itself and the index.
+                let view = sharded.read_view().expect("read_view is always Some");
+                let via_view: Vec<Option<Value>> = batch.iter().map(|&k| view.get(k)).collect();
+                assert_eq!(view.multi_get(&batch), via_view, "{name}");
+                assert_eq!(via_view, individually);
             }
+            assert!(sharded.multi_get(&[]).is_empty());
         }
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
-        for path in BOTH_PATHS {
-            let empty = ShardedIndex::<BPlusTree>::bulk_load(&[], config(4, path));
-            assert!(empty.is_empty());
-            assert_eq!(empty.get(7), None);
-            assert_eq!(empty.num_shards(), 1);
-            let tiny =
-                ShardedIndex::<BPlusTree>::bulk_load(&identity_records(&[5, 9]), config(64, path));
-            assert_eq!(tiny.len(), 2);
-            assert_eq!(tiny.get(5), Some(5));
-            assert_eq!(tiny.get(9), Some(9));
-        }
+        let empty = ShardedIndex::<BPlusTree>::bulk_load(&[], config(4));
+        assert!(empty.is_empty());
+        assert_eq!(empty.get(7), None);
+        assert_eq!(empty.num_shards(), 1);
+        let tiny = ShardedIndex::<BPlusTree>::bulk_load(&identity_records(&[5, 9]), config(64));
+        assert_eq!(tiny.len(), 2);
+        assert_eq!(tiny.get(5), Some(5));
+        assert_eq!(tiny.get(9), Some(9));
     }
 
     #[test]
     fn mutations_and_ranges_match_an_oracle_on_both_paths() {
         let keys = Dataset::Facebook.generate(20_000, 9);
         let records = identity_records(&keys);
-        for path in BOTH_PATHS {
-            let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(8, path));
-            let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
+        let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(8));
+        let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
 
-            // Inserts and removals route to the right shard.
-            for (i, &k) in keys.iter().enumerate().step_by(3) {
-                if i % 2 == 0 {
-                    assert_eq!(sharded.remove(k), oracle.remove(&k));
-                } else {
-                    let v = k ^ 0xFFFF;
-                    assert_eq!(sharded.insert(k, v), oracle.insert(k, v).is_none());
-                }
+        // Inserts and removals route to the right shard.
+        for (i, &k) in keys.iter().enumerate().step_by(3) {
+            if i % 2 == 0 {
+                assert_eq!(sharded.remove(k), oracle.remove(&k));
+            } else {
+                let v = k ^ 0xFFFF;
+                assert_eq!(sharded.insert(k, v), oracle.insert(k, v).is_none());
             }
-            assert_eq!(sharded.len(), oracle.len());
-            // Cross-shard range scans.
-            let lo = keys[100];
-            let hi = keys[15_000];
-            let got = sharded.range(lo, hi);
-            let expected: Vec<KeyValue> = oracle
-                .range(lo..=hi)
-                .map(|(&k, &v)| KeyValue::new(k, v))
-                .collect();
-            assert_eq!(got, expected);
-            assert!(sharded.range(10, 5).is_empty());
         }
+        assert_eq!(sharded.len(), oracle.len());
+        // Cross-shard range scans.
+        let lo = keys[100];
+        let hi = keys[15_000];
+        let got = sharded.range(lo, hi);
+        let expected: Vec<KeyValue> = oracle
+            .range(lo..=hi)
+            .map(|(&k, &v)| KeyValue::new(k, v))
+            .collect();
+        assert_eq!(got, expected);
+        assert!(sharded.range(10, 5).is_empty());
     }
 
-    /// The RCU overlay must fold into the base (clone+replay without
+    /// The overlay must fold into the base (clone+replay without
     /// tombstones, merge-join rebuild with them) without losing or
     /// resurrecting records, across multiple fold generations.
     #[test]
     fn rcu_overlay_folds_preserve_the_oracle() {
-        for repr in BOTH_OVERLAYS {
-            rcu_overlay_folds_preserve_the_oracle_for(repr);
-        }
-    }
-
-    fn rcu_overlay_folds_preserve_the_oracle_for(repr: OverlayRepr) {
         let keys = Dataset::Genome.generate(5_000, 13);
         let records = identity_records(&keys);
         // A tiny overlay so every few writes trigger a fold.
         let config = ShardingConfig {
             num_shards: 4,
-            read_path: ReadPath::Rcu,
-            overlay: repr,
-            overlay_capacity: Some(7),
+            overlay_capacity: 7,
         };
         let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config);
         let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
@@ -2743,78 +1962,65 @@ mod tests {
         assert_eq!(sharded.range(0, Key::MAX), expected);
     }
 
-    /// Satellite pin: both read paths (and both overlay representations)
-    /// must account staleness identically — a maintenance engine ranking
-    /// shards by `writes_since_maintenance` must make the same decisions
-    /// regardless of the concurrency scheme. The sequence exercises every
+    /// Satellite pin: the per-shard staleness counters are exactly what a
+    /// `BTreeMap` replay of the same op sequence predicts — every
+    /// structural write (fresh insert, successful removal) counted once,
+    /// on the shard owning its key, and nothing else — so a maintenance
+    /// engine ranking shards by `writes_since_maintenance` sees the writes
+    /// that changed each shard's key set. The sequence exercises every
     /// counting case: fresh inserts, overwrites, removals, double
     /// removals, removals of absent keys, reinserts over tombstones, and
     /// fold crossings (tiny overlay capacity).
     #[test]
-    fn staleness_counters_agree_across_paths_and_overlays() {
+    fn staleness_counters_match_an_oracle_replay() {
         let keys = Dataset::Genome.generate(2_000, 51);
         let records = identity_records(&keys);
         let top = *keys.last().unwrap();
-        let configs = [
-            config(4, ReadPath::Locked),
-            config(4, ReadPath::Rcu)
-                .with_overlay(OverlayRepr::Vec)
-                .with_overlay_capacity(5),
-            config(4, ReadPath::Rcu)
-                .with_overlay(OverlayRepr::Persistent)
-                .with_overlay_capacity(5),
-        ];
-        let mut outcomes: Vec<(Vec<(usize, bool)>, usize)> = Vec::new();
-        for cfg in configs {
-            let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, cfg);
-            let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
-            let mut expected = 0usize;
-            let mut apply = |sharded: &ShardedIndex<BPlusTree>,
-                             oracle: &mut BTreeMap<Key, Value>,
-                             key: Key,
-                             value: Option<Value>| {
-                let was_present = oracle.contains_key(&key);
-                match value {
-                    Some(v) => {
-                        assert_eq!(sharded.insert(key, v), oracle.insert(key, v).is_none());
-                        expected += usize::from(!was_present);
-                    }
-                    None => {
-                        assert_eq!(sharded.remove(key), oracle.remove(&key));
-                        expected += usize::from(was_present);
-                    }
-                }
-            };
-            for &k in keys.iter().step_by(3) {
-                apply(&sharded, &mut oracle, k, Some(k ^ 1)); // overwrite: no count
+        let sharded =
+            ShardedIndex::<BPlusTree>::bulk_load(&records, config(4).with_overlay_capacity(5));
+        // Bulk loading cuts equal chunks (the first shard also owns every
+        // key below its smallest one), and every counter starts seeded with
+        // its chunk's key count.
+        let chunks: Vec<&[Key]> = keys.chunks(keys.len().div_ceil(4)).collect();
+        assert_eq!(chunks.len(), 4);
+        let mut lower_bounds: Vec<Key> = chunks.iter().map(|c| c[0]).collect();
+        lower_bounds[0] = 0;
+        let mut expected: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
+        let mut apply = |key: Key, value: Option<Value>| {
+            let was_present = oracle.contains_key(&key);
+            match value {
+                Some(v) => assert_eq!(sharded.insert(key, v), oracle.insert(key, v).is_none()),
+                None => assert_eq!(sharded.remove(key), oracle.remove(&key)),
             }
-            for &k in keys.iter().step_by(5) {
-                apply(&sharded, &mut oracle, k, None); // removal: count
-                apply(&sharded, &mut oracle, k, None); // double removal: no count
+            if was_present != value.is_some() {
+                let owner = lower_bounds.iter().rposition(|&b| b <= key).unwrap();
+                expected[owner] += 1;
             }
-            for &k in keys.iter().step_by(10) {
-                apply(&sharded, &mut oracle, k, Some(k)); // reinsert: count
-            }
-            for i in 0..300u64 {
-                apply(&sharded, &mut oracle, top + 1 + i, Some(i)); // fresh: count
-            }
-            for i in 0..50u64 {
-                apply(&sharded, &mut oracle, top + 10_000 + i, None); // absent: no count
-            }
-            let counters = sharded.write_counters();
-            let total: usize = counters.iter().map(|(w, _)| w).sum();
-            // Every counter starts seeded with the bulk-loaded key count.
-            assert_eq!(total, keys.len() + expected);
-            outcomes.push((counters, expected));
+        };
+        for &k in keys.iter().step_by(3) {
+            apply(k, Some(k ^ 1)); // overwrite: no count
         }
-        let (reference, expected) = outcomes[0].clone();
-        assert!(expected > 0, "the sequence must contain structural writes");
-        for (counters, _) in &outcomes[1..] {
-            assert_eq!(
-                counters, &reference,
-                "per-shard staleness counters diverged between paths"
-            );
+        for &k in keys.iter().step_by(5) {
+            apply(k, None); // removal: count
+            apply(k, None); // double removal: no count
         }
+        for &k in keys.iter().step_by(10) {
+            apply(k, Some(k)); // reinsert: count
+        }
+        for i in 0..300u64 {
+            apply(top + 1 + i, Some(i)); // fresh: count
+        }
+        for i in 0..50u64 {
+            apply(top + 10_000 + i, None); // absent: no count
+        }
+        let seeds: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
+        assert!(
+            expected.iter().zip(&seeds).all(|(e, s)| e > s),
+            "every shard must see structural writes"
+        );
+        let predicted: Vec<(usize, bool)> = expected.into_iter().map(|w| (w, false)).collect();
+        assert_eq!(sharded.write_counters(), predicted);
     }
 
     /// Satellite pin: writers racing a slow split back off and re-route
@@ -2872,7 +2078,7 @@ mod tests {
 
         let keys = Dataset::Osm.generate(6_000, 43);
         let records = identity_records(&keys);
-        let sharded = ShardedIndex::<SlowBulk>::bulk_load(&records, config(2, ReadPath::Rcu));
+        let sharded = ShardedIndex::<SlowBulk>::bulk_load(&records, config(2));
         let retries_before = RETIRED_RETRIES.load(Ordering::Relaxed);
         let fresh_base = *keys.last().unwrap() + 1;
         const WRITERS: u64 = 3;
@@ -2933,173 +2139,192 @@ mod tests {
         const CAPACITY: usize = 8;
         let keys: Vec<Key> = (0..1_000).map(|i| i * 10).collect();
         let records = identity_records(&keys);
-        for repr in BOTH_OVERLAYS {
-            let sharded = ShardedIndex::<BPlusTree>::bulk_load(
-                &records,
-                config(1, ReadPath::Rcu)
-                    .with_overlay(repr)
-                    .with_overlay_capacity(CAPACITY),
-            );
-            // Exactly `capacity` fresh writes buffer without folding.
-            for i in 1..=CAPACITY as u64 {
-                sharded.insert(20_000 + i, i);
-                assert_eq!(sharded.overlay_lens(), vec![i as usize], "{repr:?}");
-            }
-            // Overwriting a buffered key at full capacity publishes a
-            // same-size overlay — no fold.
-            sharded.insert(20_000 + 1, 99);
-            assert_eq!(sharded.overlay_lens(), vec![CAPACITY], "{repr:?}");
-            assert_eq!(sharded.get(20_000 + 1), Some(99));
-            // The write that would grow it to capacity + 1 folds, and the
-            // triggering write lands in the fresh base.
-            sharded.insert(30_000, 7);
-            assert_eq!(sharded.overlay_lens(), vec![0], "{repr:?}");
-            assert_eq!(sharded.get(30_000), Some(7));
-            assert_eq!(sharded.len(), keys.len() + CAPACITY + 1);
-            // A tombstone is an overlay entry like any other: capacity
-            // removals buffer, one more folds.
-            for i in 1..=CAPACITY as u64 {
-                sharded.remove(keys[i as usize]);
-                assert_eq!(sharded.overlay_lens(), vec![i as usize], "{repr:?}");
-            }
-            sharded.remove(keys[CAPACITY + 1]);
-            assert_eq!(sharded.overlay_lens(), vec![0], "{repr:?}");
-            // Net effect: capacity + 1 fresh inserts, capacity + 1 removals.
-            assert_eq!(sharded.len(), keys.len());
+        let sharded = ShardedIndex::<BPlusTree>::bulk_load(
+            &records,
+            config(1).with_overlay_capacity(CAPACITY),
+        );
+        // Exactly `capacity` fresh writes buffer without folding.
+        for i in 1..=CAPACITY as u64 {
+            sharded.insert(20_000 + i, i);
+            assert_eq!(sharded.overlay_lens(), vec![i as usize]);
         }
+        // Overwriting a buffered key at full capacity publishes a
+        // same-size overlay — no fold.
+        sharded.insert(20_000 + 1, 99);
+        assert_eq!(sharded.overlay_lens(), vec![CAPACITY]);
+        assert_eq!(sharded.get(20_000 + 1), Some(99));
+        // The write that would grow it to capacity + 1 folds, and the
+        // triggering write lands in the fresh base.
+        sharded.insert(30_000, 7);
+        assert_eq!(sharded.overlay_lens(), vec![0]);
+        assert_eq!(sharded.get(30_000), Some(7));
+        assert_eq!(sharded.len(), keys.len() + CAPACITY + 1);
+        // A tombstone is an overlay entry like any other: capacity
+        // removals buffer, one more folds.
+        for i in 1..=CAPACITY as u64 {
+            sharded.remove(keys[i as usize]);
+            assert_eq!(sharded.overlay_lens(), vec![i as usize]);
+        }
+        sharded.remove(keys[CAPACITY + 1]);
+        assert_eq!(sharded.overlay_lens(), vec![0]);
+        // Net effect: capacity + 1 fresh inserts, capacity + 1 removals.
+        assert_eq!(sharded.len(), keys.len());
+    }
+
+    /// Satellite pin: an overlay capacity of 0 is clamped to 1 — every
+    /// write publishes exactly the overlay lengths (fold boundaries) and
+    /// results a capacity-1 twin does, and neither loses a record.
+    #[test]
+    fn zero_overlay_capacity_is_clamped_to_one() {
+        let keys: Vec<Key> = (0..500).map(|i| i * 10).collect();
+        let records = identity_records(&keys);
+        let zero =
+            ShardedIndex::<BPlusTree>::bulk_load(&records, config(2).with_overlay_capacity(0));
+        let one =
+            ShardedIndex::<BPlusTree>::bulk_load(&records, config(2).with_overlay_capacity(1));
+        let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
+        let mut buffered = false;
+        for i in 0..300u64 {
+            let key = (i * 37) % 6_000;
+            if i % 3 == 2 {
+                let expected = oracle.remove(&key);
+                assert_eq!(zero.remove(key), expected);
+                assert_eq!(one.remove(key), expected);
+            } else {
+                let fresh = oracle.insert(key, i).is_none();
+                assert_eq!(zero.insert(key, i), fresh);
+                assert_eq!(one.insert(key, i), fresh);
+            }
+            let lens = zero.overlay_lens();
+            assert_eq!(lens, one.overlay_lens(), "write {i}");
+            assert!(lens.iter().all(|&len| len <= 1), "write {i}: {lens:?}");
+            buffered |= lens.contains(&1);
+        }
+        assert!(buffered, "a capacity of 1 must buffer one write per shard");
+        let expected: Vec<KeyValue> = oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect();
+        assert_eq!(zero.range(0, Key::MAX), expected);
+        assert_eq!(one.range(0, Key::MAX), expected);
     }
 
     /// Satellite pin: a tombstone-heavy interleaving of inserts, removes,
     /// overwrites, range scans and full-records reads stays consistent
     /// with a `BTreeMap` oracle across repeated folds (tiny overlay
-    /// capacity) and shard splits/merges — for both overlay
-    /// representations on the RCU path, plus the locked baseline.
+    /// capacity) and shard splits/merges.
     #[test]
     fn tombstone_heavy_interleavings_match_the_oracle() {
         use csv_common::rng::SplitMix64;
-        for path in BOTH_PATHS {
-            for repr in BOTH_OVERLAYS {
-                let keys = Dataset::Osm.generate(6_000, 41);
-                let records = identity_records(&keys);
-                let sharded = ShardedIndex::<BPlusTree>::bulk_load(
-                    &records,
-                    config(3, path).with_overlay(repr).with_overlay_capacity(5),
-                );
-                let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
-                let mut rng = SplitMix64::new(97 ^ path as u64 ^ (repr as u64) << 1);
-                let top = *keys.last().unwrap();
-                for step in 0..4_000u64 {
-                    let pick = rng.next_u64();
-                    // Half the steps target fresh keys above the loaded
-                    // range so removals keep finding live targets.
-                    let key = if pick.is_multiple_of(2) {
-                        keys[(pick / 2) as usize % keys.len()]
-                    } else {
-                        top + 1 + (pick / 2) % 2_048
-                    };
-                    match rng.next_u64() % 8 {
-                        // Removal-heavy mix: tombstones dominate the
-                        // overlay, so most folds take the merge-join
-                        // rebuild path.
-                        0..=3 => assert_eq!(sharded.remove(key), oracle.remove(&key)),
-                        4 | 5 => {
-                            assert_eq!(
-                                sharded.insert(key, step),
-                                oracle.insert(key, step).is_none()
-                            );
-                        }
-                        6 => assert_eq!(sharded.get(key), oracle.get(&key).copied()),
-                        _ => {
-                            let hi = key + rng.next_u64() % 50_000;
-                            let got = sharded.range(key, hi);
-                            let expected: Vec<KeyValue> = oracle
-                                .range(key..=hi)
-                                .map(|(&k, &v)| KeyValue::new(k, v))
-                                .collect();
-                            assert_eq!(got, expected, "range diverged at step {step}");
-                        }
-                    }
-                    if step % 503 == 0 {
-                        let shard = (rng.next_u64() as usize) % sharded.num_shards().max(1);
-                        if sharded.split_shard(shard, 2) && rng.next_u64().is_multiple_of(2) {
-                            assert!(sharded.merge_shards(shard, usize::MAX));
-                        }
-                    }
-                    if step % 997 == 0 {
-                        let full = sharded.range(0, Key::MAX);
-                        let expected: Vec<KeyValue> =
-                            oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect();
-                        assert_eq!(full, expected, "records diverged at step {step}");
-                    }
-                    assert_eq!(sharded.len(), oracle.len());
+        let keys = Dataset::Osm.generate(6_000, 41);
+        let records = identity_records(&keys);
+        let sharded =
+            ShardedIndex::<BPlusTree>::bulk_load(&records, config(3).with_overlay_capacity(5));
+        let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
+        let mut rng = SplitMix64::new(98);
+        let top = *keys.last().unwrap();
+        for step in 0..4_000u64 {
+            let pick = rng.next_u64();
+            // Half the steps target fresh keys above the loaded
+            // range so removals keep finding live targets.
+            let key = if pick.is_multiple_of(2) {
+                keys[(pick / 2) as usize % keys.len()]
+            } else {
+                top + 1 + (pick / 2) % 2_048
+            };
+            match rng.next_u64() % 8 {
+                // Removal-heavy mix: tombstones dominate the
+                // overlay, so most folds take the merge-join
+                // rebuild path.
+                0..=3 => assert_eq!(sharded.remove(key), oracle.remove(&key)),
+                4 | 5 => {
+                    assert_eq!(
+                        sharded.insert(key, step),
+                        oracle.insert(key, step).is_none()
+                    );
                 }
-                assert_eq!(sharded.len(), oracle.len());
-                for (&k, &v) in &oracle {
-                    assert_eq!(sharded.get(k), Some(v));
+                6 => assert_eq!(sharded.get(key), oracle.get(&key).copied()),
+                _ => {
+                    let hi = key + rng.next_u64() % 50_000;
+                    let got = sharded.range(key, hi);
+                    let expected: Vec<KeyValue> = oracle
+                        .range(key..=hi)
+                        .map(|(&k, &v)| KeyValue::new(k, v))
+                        .collect();
+                    assert_eq!(got, expected, "range diverged at step {step}");
                 }
+            }
+            if step % 503 == 0 {
+                let shard = (rng.next_u64() as usize) % sharded.num_shards().max(1);
+                if sharded.split_shard(shard, 2) && rng.next_u64().is_multiple_of(2) {
+                    assert!(sharded.merge_shards(shard, usize::MAX));
+                }
+            }
+            if step % 997 == 0 {
                 let full = sharded.range(0, Key::MAX);
                 let expected: Vec<KeyValue> =
                     oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect();
-                assert_eq!(full, expected, "{path:?}/{repr:?}");
+                assert_eq!(full, expected, "records diverged at step {step}");
             }
+            assert_eq!(sharded.len(), oracle.len());
         }
+        assert_eq!(sharded.len(), oracle.len());
+        for (&k, &v) in &oracle {
+            assert_eq!(sharded.get(k), Some(v));
+        }
+        let full = sharded.range(0, Key::MAX);
+        let expected: Vec<KeyValue> = oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect();
+        assert_eq!(full, expected);
     }
 
     #[test]
     fn stats_aggregate_across_shards_on_both_paths() {
         let keys = Dataset::Genome.generate(30_000, 5);
         let records = identity_records(&keys);
-        for path in BOTH_PATHS {
-            let sharded = ShardedIndex::<LippIndex>::bulk_load(&records, config(8, path));
-            let stats = sharded.stats();
-            assert_eq!(stats.num_keys, keys.len());
-            assert_eq!(stats.level_histogram.total(), keys.len());
-            assert!(stats.node_count >= 8);
-            let per_shard = sharded.map_shards(|i| i.len());
-            assert_eq!(per_shard.iter().sum::<usize>(), keys.len());
-            assert_eq!(per_shard.len(), 8);
-            assert_eq!(sharded.shard_lens(), per_shard);
-        }
+        let sharded = ShardedIndex::<LippIndex>::bulk_load(&records, config(8));
+        let stats = sharded.stats();
+        assert_eq!(stats.num_keys, keys.len());
+        assert_eq!(stats.level_histogram.total(), keys.len());
+        assert!(stats.node_count >= 8);
+        let per_shard = sharded.map_shards(|i| i.len());
+        assert_eq!(per_shard.iter().sum::<usize>(), keys.len());
+        assert_eq!(per_shard.len(), 8);
+        assert_eq!(sharded.shard_lens(), per_shard);
     }
 
     #[test]
     fn concurrent_readers_and_writers_agree_with_an_oracle_on_both_paths() {
         let keys = Dataset::Covid.generate(30_000, 11);
         let records = identity_records(&keys);
-        for path in BOTH_PATHS {
-            let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(8, path));
+        let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(8));
 
-            // Writers insert disjoint fresh keys; readers hammer existing
-            // keys.
-            let fresh_base = *keys.last().unwrap() + 1;
-            crossbeam::thread::scope(|scope| {
-                for writer in 0..4u64 {
-                    let sharded = &sharded;
-                    scope.spawn(move |_| {
-                        for i in 0..2_000u64 {
-                            let k = fresh_base + writer * 1_000_000 + i;
-                            assert!(sharded.insert(k, k));
-                        }
-                    });
-                }
-                for reader in 0..4usize {
-                    let sharded = &sharded;
-                    let keys = &keys;
-                    scope.spawn(move |_| {
-                        for &k in keys.iter().skip(reader).step_by(7) {
-                            assert_eq!(sharded.get(k), Some(k));
-                        }
-                    });
-                }
-            })
-            .expect("threads must not panic");
-
-            assert_eq!(sharded.len(), keys.len() + 4 * 2_000);
+        // Writers insert disjoint fresh keys; readers hammer existing
+        // keys.
+        let fresh_base = *keys.last().unwrap() + 1;
+        crossbeam::thread::scope(|scope| {
             for writer in 0..4u64 {
-                for i in (0..2_000u64).step_by(191) {
-                    let k = fresh_base + writer * 1_000_000 + i;
-                    assert_eq!(sharded.get(k), Some(k));
-                }
+                let sharded = &sharded;
+                scope.spawn(move |_| {
+                    for i in 0..2_000u64 {
+                        let k = fresh_base + writer * 1_000_000 + i;
+                        assert!(sharded.insert(k, k));
+                    }
+                });
+            }
+            for reader in 0..4usize {
+                let sharded = &sharded;
+                let keys = &keys;
+                scope.spawn(move |_| {
+                    for &k in keys.iter().skip(reader).step_by(7) {
+                        assert_eq!(sharded.get(k), Some(k));
+                    }
+                });
+            }
+        })
+        .expect("threads must not panic");
+
+        assert_eq!(sharded.len(), keys.len() + 4 * 2_000);
+        for writer in 0..4u64 {
+            for i in (0..2_000u64).step_by(191) {
+                let k = fresh_base + writer * 1_000_000 + i;
+                assert_eq!(sharded.get(k), Some(k));
             }
         }
     }
@@ -3108,31 +2333,28 @@ mod tests {
     fn with_shards_mut_applies_to_every_shard_on_both_paths() {
         use csv_common::sync::{AtomicUsize, Ordering};
         let keys = Dataset::Osm.generate(10_000, 21);
-        for path in BOTH_PATHS {
-            let sharded =
-                ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(4, path));
-            let touched = AtomicUsize::new(0);
-            sharded.with_shards_mut(|shard| {
-                touched.fetch_add(1, Ordering::Relaxed);
-                assert!(shard.len() > 0);
-            });
-            assert_eq!(touched.load(Ordering::Relaxed), 4);
-            let mut touched_seq = 0usize;
-            sharded.with_shards_mut_seq(|shard| {
-                touched_seq += 1;
-                assert!(shard.len() > 0);
-            });
-            assert_eq!(touched_seq, 4);
-        }
+        let sharded = ShardedIndex::<LippIndex>::bulk_load(&identity_records(&keys), config(4));
+        let touched = AtomicUsize::new(0);
+        sharded.with_shards_mut(|shard| {
+            touched.fetch_add(1, Ordering::Relaxed);
+            assert!(shard.len() > 0);
+        });
+        assert_eq!(touched.load(Ordering::Relaxed), 4);
+        let mut touched_seq = 0usize;
+        sharded.with_shards_mut_seq(|shard| {
+            touched_seq += 1;
+            assert!(shard.len() > 0);
+        });
+        assert_eq!(touched_seq, 4);
     }
 
-    /// RCU mutations performed through `with_shards_mut` must be visible to
+    /// Mutations performed through `with_shards_mut` must be visible to
     /// readers afterwards (i.e. the mutated clone really is published).
     #[test]
     fn rcu_with_shards_mut_publishes_the_mutation() {
         let keys = Dataset::Osm.generate(4_000, 23);
         let records = identity_records(&keys);
-        let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(4, ReadPath::Rcu));
+        let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(4));
         let probe = *keys.last().unwrap() + 99;
         sharded.with_shards_mut(|shard| {
             shard.insert(probe, 4242);
@@ -3141,7 +2363,7 @@ mod tests {
         assert_eq!(sharded.get(probe), Some(4242));
     }
 
-    /// The acceptance-criterion test: on the RCU path, `get` (and `range`,
+    /// The acceptance-criterion test: `get` (and `range`,
     /// `len`, `stats`, `read_view`) performs **zero lock acquisitions**.
     /// One thread grabs every writer-side lock the representation owns —
     /// the layout writer mutex and all four shard writer mutexes — and sits
@@ -3155,7 +2377,7 @@ mod tests {
 
         let keys = Dataset::Osm.generate(20_000, 7);
         let records = identity_records(&keys);
-        let sharded = ShardedIndex::<LippIndex>::bulk_load(&records, config(4, ReadPath::Rcu));
+        let sharded = ShardedIndex::<LippIndex>::bulk_load(&records, config(4));
 
         let locks_held = AtomicBool::new(false);
         let reads_done = AtomicBool::new(false);
@@ -3189,7 +2411,7 @@ mod tests {
                 491,
                 "range scan must proceed lock-free"
             );
-            let view = sharded.read_view().expect("RCU path has snapshots");
+            let view = sharded.read_view().expect("read_view is always Some");
             for &k in keys.iter().step_by(997) {
                 assert_eq!(view.get(k), Some(k));
             }
@@ -3211,7 +2433,7 @@ mod tests {
         use csv_common::sync::{AtomicBool, Ordering};
         let keys = Dataset::Osm.generate(30_000, 19);
         let records = identity_records(&keys);
-        let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(4, ReadPath::Rcu));
+        let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(4));
         let stop = AtomicBool::new(false);
         let fresh_base = *keys.last().unwrap() + 1;
         crossbeam::thread::scope(|scope| {
@@ -3266,33 +2488,29 @@ mod tests {
     fn split_then_merge_round_trips_on_both_paths() {
         let keys = Dataset::Genome.generate(12_000, 29);
         let records = identity_records(&keys);
-        for path in BOTH_PATHS {
-            let sharded = ShardedIndex::<LippIndex>::bulk_load(&records, config(3, path));
-            let before_range = sharded.range(0, Key::MAX);
-            let shards_before = sharded.num_shards();
+        let sharded = ShardedIndex::<LippIndex>::bulk_load(&records, config(3));
+        let before_range = sharded.range(0, Key::MAX);
+        let shards_before = sharded.num_shards();
 
-            assert!(sharded.split_shard(1, 2), "split must succeed");
-            assert_eq!(sharded.num_shards(), shards_before + 1);
-            assert_eq!(sharded.range(0, Key::MAX), before_range);
+        assert!(sharded.split_shard(1, 2), "split must succeed");
+        assert_eq!(sharded.num_shards(), shards_before + 1);
+        assert_eq!(sharded.range(0, Key::MAX), before_range);
 
-            assert!(sharded.merge_shards(1, usize::MAX), "merge must succeed");
-            assert_eq!(sharded.num_shards(), shards_before);
-            assert_eq!(sharded.range(0, Key::MAX), before_range);
-            for &k in keys.iter().step_by(53) {
-                assert_eq!(sharded.get(k), Some(k));
-            }
-            // A merge refuses to exceed its size bound, and refuses at the
-            // vector's end.
-            assert!(!sharded.merge_shards(0, 1));
-            assert!(!sharded.merge_shards(sharded.num_shards() - 1, usize::MAX));
+        assert!(sharded.merge_shards(1, usize::MAX), "merge must succeed");
+        assert_eq!(sharded.num_shards(), shards_before);
+        assert_eq!(sharded.range(0, Key::MAX), before_range);
+        for &k in keys.iter().step_by(53) {
+            assert_eq!(sharded.get(k), Some(k));
         }
+        // A merge refuses to exceed its size bound, and refuses at the
+        // vector's end.
+        assert!(!sharded.merge_shards(0, 1));
+        assert!(!sharded.merge_shards(sharded.num_shards() - 1, usize::MAX));
     }
 
     /// Pins the short-lock contract: while a shard is in its *plan* phase
     /// (key collection / smoothing), concurrent `get`s on the same shard
-    /// must proceed — on the locked path because planning holds only the
-    /// shared lock, on the RCU path because planning holds no
-    /// reader-visible lock at all.
+    /// must proceed, because planning holds no reader-visible lock at all.
     ///
     /// A gated LIPP wrapper blocks inside the first `csv_collect_keys_into`
     /// call (i.e. mid-plan) until the main thread has completed a lookup on
@@ -3388,48 +2606,46 @@ mod tests {
 
         let keys = Dataset::Osm.generate(20_000, 7);
         let records = identity_records(&keys);
-        for path in BOTH_PATHS {
-            GATE_ARMED.store(false, Ordering::SeqCst);
-            COLLECT_STARTED.store(false, Ordering::SeqCst);
-            READER_DONE.store(false, Ordering::SeqCst);
-            GATE_TIMED_OUT.store(false, Ordering::SeqCst);
+        GATE_ARMED.store(false, Ordering::SeqCst);
+        COLLECT_STARTED.store(false, Ordering::SeqCst);
+        READER_DONE.store(false, Ordering::SeqCst);
+        GATE_TIMED_OUT.store(false, Ordering::SeqCst);
 
-            // One shard: excluding readers during planning would block
-            // *every* lookup, so a successful mid-plan lookup proves the
-            // plan phase is reader-transparent.
-            let sharded = ShardedIndex::<GatedLipp>::bulk_load(&records, config(1, path));
-            let optimizer = CsvOptimizer::new(CsvConfig::for_lipp(0.1));
+        // One shard: excluding readers during planning would block
+        // *every* lookup, so a successful mid-plan lookup proves the
+        // plan phase is reader-transparent.
+        let sharded = ShardedIndex::<GatedLipp>::bulk_load(&records, config(1));
+        let optimizer = CsvOptimizer::new(CsvConfig::for_lipp(0.1));
 
-            GATE_ARMED.store(true, Ordering::SeqCst);
-            crossbeam::thread::scope(|scope| {
-                let handle = scope.spawn(|_| sharded.optimize(&optimizer));
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while !COLLECT_STARTED.load(Ordering::SeqCst) {
-                    assert!(
-                        Instant::now() < deadline,
-                        "optimizer never reached key collection"
-                    );
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                // The optimizer is parked inside its plan phase; lookups on
-                // the only shard must still be served.
-                for &k in keys.iter().step_by(4_999) {
-                    assert_eq!(sharded.get(k), Some(k), "get blocked during the plan phase");
-                }
-                READER_DONE.store(true, Ordering::SeqCst);
-                let reports = handle.join().expect("optimizer thread must not panic");
-                assert_eq!(reports.len(), 1);
-                assert!(reports[0].subtrees_considered() > 0);
-            })
-            .expect("threads must not panic");
-
-            assert!(
-                !GATE_TIMED_OUT.load(Ordering::SeqCst),
-                "plan-phase gate timed out on {path:?}: lookups were blocked while planning"
-            );
-            for &k in keys.iter().step_by(997) {
-                assert_eq!(sharded.get(k), Some(k));
+        GATE_ARMED.store(true, Ordering::SeqCst);
+        crossbeam::thread::scope(|scope| {
+            let handle = scope.spawn(|_| sharded.optimize(&optimizer));
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !COLLECT_STARTED.load(Ordering::SeqCst) {
+                assert!(
+                    Instant::now() < deadline,
+                    "optimizer never reached key collection"
+                );
+                std::thread::sleep(Duration::from_millis(1));
             }
+            // The optimizer is parked inside its plan phase; lookups on
+            // the only shard must still be served.
+            for &k in keys.iter().step_by(4_999) {
+                assert_eq!(sharded.get(k), Some(k), "get blocked during the plan phase");
+            }
+            READER_DONE.store(true, Ordering::SeqCst);
+            let reports = handle.join().expect("optimizer thread must not panic");
+            assert_eq!(reports.len(), 1);
+            assert!(reports[0].subtrees_considered() > 0);
+        })
+        .expect("threads must not panic");
+
+        assert!(
+            !GATE_TIMED_OUT.load(Ordering::SeqCst),
+            "plan-phase gate timed out: lookups were blocked while planning"
+        );
+        for &k in keys.iter().step_by(997) {
+            assert_eq!(sharded.get(k), Some(k));
         }
     }
 
@@ -3440,48 +2656,24 @@ mod tests {
         let records = identity_records(&keys);
         let optimizer = CsvOptimizer::new(CsvConfig::for_lipp(0.1));
 
-        for path in BOTH_PATHS {
-            let parallel = ShardedIndex::<LippIndex>::bulk_load(&records, config(8, path));
-            let reports = parallel.optimize(&optimizer);
-            assert_eq!(reports.len(), 8);
+        let parallel = ShardedIndex::<LippIndex>::bulk_load(&records, config(8));
+        let reports = parallel.optimize(&optimizer);
+        assert_eq!(reports.len(), 8);
 
-            let sequential = ShardedIndex::<LippIndex>::bulk_load(&records, config(8, path));
-            let mut seq_reports = Vec::new();
-            sequential.with_shards_mut_seq(|shard| {
-                seq_reports.push(optimizer.optimize(shard));
-            });
+        let sequential = ShardedIndex::<LippIndex>::bulk_load(&records, config(8));
+        let mut seq_reports = Vec::new();
+        sequential.with_shards_mut_seq(|shard| {
+            seq_reports.push(optimizer.optimize(shard));
+        });
 
-            for (par, seq) in reports.iter().zip(&seq_reports) {
-                assert_eq!(par.outcomes, seq.outcomes);
-                assert_eq!(par.subtrees_rebuilt, seq.subtrees_rebuilt);
-            }
-            assert_eq!(parallel.stats(), sequential.stats());
-            for &k in keys.iter().step_by(17) {
-                assert_eq!(parallel.get(k), Some(k));
-                assert_eq!(parallel.get(k), sequential.get(k));
-            }
+        for (par, seq) in reports.iter().zip(&seq_reports) {
+            assert_eq!(par.outcomes, seq.outcomes);
+            assert_eq!(par.subtrees_rebuilt, seq.subtrees_rebuilt);
         }
-    }
-
-    /// Locked and RCU paths must agree with each other end to end: same
-    /// lookups, same optimisation outcomes, same structure statistics.
-    #[test]
-    fn locked_and_rcu_paths_agree() {
-        use csv_core::CsvConfig;
-        let keys = Dataset::Osm.generate(30_000, 31);
-        let records = identity_records(&keys);
-        let optimizer = CsvOptimizer::new(CsvConfig::for_lipp(0.1));
-
-        let locked = ShardedIndex::<LippIndex>::bulk_load(&records, config(8, ReadPath::Locked));
-        let rcu = ShardedIndex::<LippIndex>::bulk_load(&records, config(8, ReadPath::Rcu));
-        let locked_reports = locked.optimize(&optimizer);
-        let rcu_reports = rcu.optimize(&optimizer);
-        for (l, r) in locked_reports.iter().zip(&rcu_reports) {
-            assert_eq!(l.outcomes, r.outcomes);
-        }
-        assert_eq!(locked.stats(), rcu.stats());
-        for &k in keys.iter().step_by(23) {
-            assert_eq!(locked.get(k), rcu.get(k));
+        assert_eq!(parallel.stats(), sequential.stats());
+        for &k in keys.iter().step_by(17) {
+            assert_eq!(parallel.get(k), Some(k));
+            assert_eq!(parallel.get(k), sequential.get(k));
         }
     }
 
@@ -3489,8 +2681,8 @@ mod tests {
     fn read_view_pins_a_consistent_snapshot() {
         let keys = Dataset::Genome.generate(8_000, 37);
         let records = identity_records(&keys);
-        let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(4, ReadPath::Rcu));
-        let view = sharded.read_view().expect("RCU path has snapshots");
+        let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(4));
+        let view = sharded.read_view().expect("read_view is always Some");
         assert_eq!(view.len(), keys.len());
         assert!(!view.is_empty());
         // Writes after the view was taken are invisible to it but visible
@@ -3502,16 +2694,73 @@ mod tests {
         for &k in keys.iter().step_by(211) {
             assert_eq!(view.get(k), Some(k));
         }
-        // The locked path has no snapshots to pin.
-        let locked = ShardedIndex::<BPlusTree>::bulk_load(&records, config(4, ReadPath::Locked));
-        assert!(locked.read_view().is_none());
+    }
+
+    /// Path copying never mutates a chunk a reader shares: a view pinned
+    /// over dirty overlays keeps returning exactly its pin-time contents
+    /// while later writes overwrite and tombstone the very keys it
+    /// buffers, fold every shard many times over, and split and merge
+    /// the layout.
+    #[test]
+    fn pinned_view_outlives_later_publications() {
+        let keys = Dataset::Osm.generate(4_000, 61);
+        let records = identity_records(&keys);
+        let sharded =
+            ShardedIndex::<BPlusTree>::bulk_load(&records, config(3).with_overlay_capacity(16));
+        let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
+        // Dirty every overlay (upserts and tombstones) before pinning.
+        for &k in keys.iter().step_by(400) {
+            assert_eq!(
+                sharded.insert(k, k ^ 0x55),
+                oracle.insert(k, k ^ 0x55).is_none()
+            );
+        }
+        for &k in keys.iter().skip(200).step_by(400) {
+            assert_eq!(sharded.remove(k), oracle.remove(&k));
+        }
+        assert!(sharded.overlay_lens().iter().all(|&len| len > 0));
+        let view = sharded.read_view().expect("read_view is always Some");
+        let pinned: Vec<KeyValue> = oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect();
+        assert_eq!(view.range(0, Key::MAX), pinned);
+
+        let top = *keys.last().unwrap();
+        for round in 0..6u64 {
+            // Overwrite and tombstone the buffered keys, then write more
+            // keys than the capacity holds so the shards fold.
+            for &k in keys.iter().step_by(400) {
+                sharded.insert(k, round);
+            }
+            for &k in keys.iter().skip(200).step_by(400) {
+                sharded.insert(k, round);
+            }
+            for &k in keys.iter().step_by(400) {
+                sharded.remove(k);
+            }
+            for &k in keys.iter().step_by(97) {
+                sharded.insert(k, round);
+            }
+            for i in 0..40u64 {
+                sharded.insert(top + 1 + round * 100 + i, i);
+            }
+            let last = sharded.num_shards() - 1;
+            if sharded.split_shard(last, 2) {
+                assert!(sharded.merge_shards(last, usize::MAX));
+            }
+        }
+        assert_eq!(view.len(), pinned.len());
+        assert_eq!(view.range(0, Key::MAX), pinned);
+        let probes: Vec<Key> = keys.iter().copied().step_by(7).collect();
+        let expected: Vec<Option<Value>> = probes.iter().map(|k| oracle.get(k).copied()).collect();
+        assert_eq!(view.multi_get(&probes), expected);
+        for (&k, want) in probes.iter().zip(&expected) {
+            assert_eq!(view.get(k), *want);
+        }
     }
 
     /// Tentpole pin: `write_batch` is observationally identical to the same
     /// ops applied point-wise — per-op outcome counts, gets, ranges,
-    /// lengths, staleness counters, and (on the RCU path) the published
-    /// overlay lengths, i.e. the exact fold boundaries — across both read
-    /// paths and both overlay representations. Batch sizes straddle the
+    /// lengths, staleness counters, and the published overlay lengths, i.e.
+    /// the exact fold boundaries. Batch sizes straddle the
     /// fold boundary and exceed the whole overlay capacity (multiple folds
     /// inside one slice), and batches contain intra-batch duplicates,
     /// overwrites, tombstones and removes of absent keys.
@@ -3521,92 +2770,79 @@ mod tests {
         let keys = Dataset::Genome.generate(3_000, 77);
         let records = identity_records(&keys);
         let top = *keys.last().unwrap();
-        let configs = [
-            config(4, ReadPath::Locked),
-            config(4, ReadPath::Rcu)
-                .with_overlay(OverlayRepr::Vec)
-                .with_overlay_capacity(7),
-            config(4, ReadPath::Rcu)
-                .with_overlay(OverlayRepr::Persistent)
-                .with_overlay_capacity(7),
-        ];
-        for cfg in configs {
-            let batched = ShardedIndex::<BPlusTree>::bulk_load(&records, cfg);
-            let pointwise = ShardedIndex::<BPlusTree>::bulk_load(&records, cfg);
-            let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
-            let mut rng = SplitMix64::new(0xBA7C4 ^ cfg.read_path as u64);
-            // 1 and 2 exercise the degenerate sizes, 8 straddles the
-            // capacity-7 fold boundary, 64 folds several times per shard
-            // slice.
-            for (round, &size) in [1usize, 2, 7, 8, 16, 64]
-                .iter()
-                .cycle()
-                .take(120)
-                .enumerate()
-            {
-                let ops: Vec<WriteOp> = (0..size)
-                    .map(|_| {
-                        let pick = rng.next_u64();
-                        // A narrow fresh-key band keeps duplicates and
-                        // remove-then-reinsert sequences common, inside a
-                        // single batch included.
-                        let key = if pick.is_multiple_of(2) {
-                            keys[(pick / 2) as usize % keys.len()]
-                        } else {
-                            top + 1 + (pick / 2) % 256
-                        };
-                        if rng.next_u64().is_multiple_of(3) {
-                            WriteOp::Remove { key }
-                        } else {
-                            WriteOp::Insert {
-                                key,
-                                value: round as Value,
-                            }
-                        }
-                    })
-                    .collect();
-                let outcome = batched.write_batch(&ops);
-                let mut expected = BatchOutcome::default();
-                for &op in &ops {
-                    match op {
-                        WriteOp::Insert { key, value } => {
-                            let fresh = pointwise.insert(key, value);
-                            assert_eq!(fresh, oracle.insert(key, value).is_none());
-                            expected.fresh_inserts += usize::from(fresh);
-                        }
-                        WriteOp::Remove { key } => {
-                            let removed = pointwise.remove(key);
-                            assert_eq!(removed, oracle.remove(&key));
-                            expected.removed += usize::from(removed.is_some());
+        let cfg = config(4).with_overlay_capacity(7);
+        let batched = ShardedIndex::<BPlusTree>::bulk_load(&records, cfg);
+        let pointwise = ShardedIndex::<BPlusTree>::bulk_load(&records, cfg);
+        let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
+        let mut rng = SplitMix64::new(0xBA7C5);
+        // 1 and 2 exercise the degenerate sizes, 8 straddles the
+        // capacity-7 fold boundary, 64 folds several times per shard
+        // slice.
+        for (round, &size) in [1usize, 2, 7, 8, 16, 64]
+            .iter()
+            .cycle()
+            .take(120)
+            .enumerate()
+        {
+            let ops: Vec<WriteOp> = (0..size)
+                .map(|_| {
+                    let pick = rng.next_u64();
+                    // A narrow fresh-key band keeps duplicates and
+                    // remove-then-reinsert sequences common, inside a
+                    // single batch included.
+                    let key = if pick.is_multiple_of(2) {
+                        keys[(pick / 2) as usize % keys.len()]
+                    } else {
+                        top + 1 + (pick / 2) % 256
+                    };
+                    if rng.next_u64().is_multiple_of(3) {
+                        WriteOp::Remove { key }
+                    } else {
+                        WriteOp::Insert {
+                            key,
+                            value: round as Value,
                         }
                     }
+                })
+                .collect();
+            let outcome = batched.write_batch(&ops);
+            let mut expected = BatchOutcome::default();
+            for &op in &ops {
+                match op {
+                    WriteOp::Insert { key, value } => {
+                        let fresh = pointwise.insert(key, value);
+                        assert_eq!(fresh, oracle.insert(key, value).is_none());
+                        expected.fresh_inserts += usize::from(fresh);
+                    }
+                    WriteOp::Remove { key } => {
+                        let removed = pointwise.remove(key);
+                        assert_eq!(removed, oracle.remove(&key));
+                        expected.removed += usize::from(removed.is_some());
+                    }
                 }
-                assert_eq!(outcome, expected, "outcome diverged in round {round}");
-                assert_eq!(batched.len(), oracle.len(), "len diverged in round {round}");
-                if cfg.read_path == ReadPath::Rcu {
-                    assert_eq!(
-                        batched.overlay_lens(),
-                        pointwise.overlay_lens(),
-                        "fold boundaries diverged in round {round}"
-                    );
-                }
             }
-            for (&k, &v) in &oracle {
-                assert_eq!(batched.get(k), Some(v));
-            }
-            for probe in 0..64u64 {
-                let k = top + 1 + probe * 5;
-                assert_eq!(batched.get(k), oracle.get(&k).copied());
-            }
-            let expected: Vec<KeyValue> =
-                oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect();
-            assert_eq!(batched.range(0, Key::MAX), expected);
+            assert_eq!(outcome, expected, "outcome diverged in round {round}");
+            assert_eq!(batched.len(), oracle.len(), "len diverged in round {round}");
             assert_eq!(
-                batched.write_counters(),
-                pointwise.write_counters(),
-                "staleness counters diverged for {cfg:?}"
+                batched.overlay_lens(),
+                pointwise.overlay_lens(),
+                "fold boundaries diverged in round {round}"
             );
         }
+        for (&k, &v) in &oracle {
+            assert_eq!(batched.get(k), Some(v));
+        }
+        for probe in 0..64u64 {
+            let k = top + 1 + probe * 5;
+            assert_eq!(batched.get(k), oracle.get(&k).copied());
+        }
+        let expected: Vec<KeyValue> = oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect();
+        assert_eq!(batched.range(0, Key::MAX), expected);
+        assert_eq!(
+            batched.write_counters(),
+            pointwise.write_counters(),
+            "staleness counters diverged"
+        );
     }
 
     /// The `insert_batch`/`remove_batch` conveniences report the same
@@ -3615,27 +2851,25 @@ mod tests {
     fn insert_and_remove_batches_count_like_their_pointwise_twins() {
         let keys: Vec<Key> = (0..500).map(|i| i * 4).collect();
         let records = identity_records(&keys);
-        for path in BOTH_PATHS {
-            let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(3, path));
-            assert_eq!(sharded.write_batch(&[]), BatchOutcome::default());
-            assert_eq!(sharded.insert_batch(&[]), 0);
-            assert_eq!(sharded.remove_batch(&[]), 0);
-            // Loaded keys are the multiples of 4; the batch walks the even
-            // numbers, so half are overwrites and only the 10 fresh ones
-            // count.
-            let batch: Vec<KeyValue> = (0..20).map(|i| KeyValue::new(i * 2 + 990, i)).collect();
-            assert_eq!(sharded.insert_batch(&batch), 10);
-            for record in &batch {
-                assert_eq!(sharded.get(record.key), Some(record.value));
-            }
-            // 5 present keys + 5 absent ones: only the hits count.
-            let targets: Vec<Key> = (0..5)
-                .map(|i| i * 2 + 990)
-                .chain((0..5).map(|i| 100_000 + i))
-                .collect();
-            assert_eq!(sharded.remove_batch(&targets), 5);
-            assert_eq!(sharded.remove_batch(&targets), 0, "already removed");
+        let sharded = ShardedIndex::<BPlusTree>::bulk_load(&records, config(3));
+        assert_eq!(sharded.write_batch(&[]), BatchOutcome::default());
+        assert_eq!(sharded.insert_batch(&[]), 0);
+        assert_eq!(sharded.remove_batch(&[]), 0);
+        // Loaded keys are the multiples of 4; the batch walks the even
+        // numbers, so half are overwrites and only the 10 fresh ones
+        // count.
+        let batch: Vec<KeyValue> = (0..20).map(|i| KeyValue::new(i * 2 + 990, i)).collect();
+        assert_eq!(sharded.insert_batch(&batch), 10);
+        for record in &batch {
+            assert_eq!(sharded.get(record.key), Some(record.value));
         }
+        // 5 present keys + 5 absent ones: only the hits count.
+        let targets: Vec<Key> = (0..5)
+            .map(|i| i * 2 + 990)
+            .chain((0..5).map(|i| 100_000 + i))
+            .collect();
+        assert_eq!(sharded.remove_batch(&targets), 5);
+        assert_eq!(sharded.remove_batch(&targets), 0, "already removed");
     }
 
     /// Group commits racing shard splits/merges must back off and re-route
@@ -3693,7 +2927,7 @@ mod tests {
 
         let keys = Dataset::Osm.generate(6_000, 47);
         let records = identity_records(&keys);
-        let sharded = ShardedIndex::<SlowBulk>::bulk_load(&records, config(2, ReadPath::Rcu));
+        let sharded = ShardedIndex::<SlowBulk>::bulk_load(&records, config(2));
         let retries_before = RETIRED_RETRIES.load(Ordering::Relaxed);
         let fresh_base = *keys.last().unwrap() + 1;
         const WRITERS: u64 = 3;

@@ -67,10 +67,8 @@ pub fn run_read_throughput<I: LearnedIndex + Sync + Send>(
 }
 
 /// The read-mostly fast path: each worker pins a [`ShardedIndex::read_view`]
-/// snapshot once and serves its whole query chunk from it — on the RCU read
-/// path that drops even the per-lookup RCU counter traffic, leaving plain
-/// memory reads. Falls back to [`ShardedIndex::get`] per lookup on the
-/// locked path, which has no snapshots to pin.
+/// snapshot once and serves its whole query chunk from it, which drops even
+/// the per-lookup RCU counter traffic, leaving plain memory reads.
 ///
 /// The pinned view is a snapshot: writes published after a worker started
 /// its chunk are invisible to that worker. That is the right trade for
@@ -85,24 +83,8 @@ pub fn run_read_throughput_pinned<I: LearnedIndex + Sync + Send>(
     threads: usize,
 ) -> ThroughputReport {
     run_workers(queries, threads, |worker| {
-        let mut hits = 0usize;
-        match index.read_view() {
-            Some(view) => {
-                for &q in worker {
-                    if view.get(q).is_some() {
-                        hits += 1;
-                    }
-                }
-            }
-            None => {
-                for &q in worker {
-                    if index.get(q).is_some() {
-                        hits += 1;
-                    }
-                }
-            }
-        }
-        hits
+        let view = index.read_view().expect("read_view is always Some");
+        worker.iter().filter(|&&q| view.get(q).is_some()).count()
     })
 }
 
@@ -177,20 +159,17 @@ mod tests {
 
     #[test]
     fn pinned_and_per_lookup_paths_agree_on_both_read_paths() {
-        use crate::sharded::ReadPath;
         let keys = Dataset::Osm.generate(12_000, 5);
         let mut queries: Vec<Key> = keys.iter().copied().step_by(2).collect();
         queries.extend((0..100u64).map(|i| *keys.last().unwrap() + 1 + i));
-        for path in [ReadPath::Locked, ReadPath::Rcu] {
-            let index = ShardedIndex::<BPlusTree>::bulk_load(
-                &identity_records(&keys),
-                ShardingConfig::default().with_read_path(path),
-            );
-            let per_lookup = run_read_throughput(&index, &queries, 3);
-            let pinned = run_read_throughput_pinned(&index, &queries, 3);
-            assert_eq!(per_lookup.hits, pinned.hits, "{path:?}");
-            assert_eq!(per_lookup.total_lookups, pinned.total_lookups);
-        }
+        let index = ShardedIndex::<BPlusTree>::bulk_load(
+            &identity_records(&keys),
+            ShardingConfig::default(),
+        );
+        let per_lookup = run_read_throughput(&index, &queries, 3);
+        let pinned = run_read_throughput_pinned(&index, &queries, 3);
+        assert_eq!(per_lookup.hits, pinned.hits);
+        assert_eq!(per_lookup.total_lookups, pinned.total_lookups);
     }
 
     #[test]

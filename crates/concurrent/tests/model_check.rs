@@ -13,8 +13,8 @@
 //!
 //! * a reader never dereferences a reclaimed value (grace periods work),
 //! * handles pinned across publications stay alive until released,
-//! * the salvaged overlay buffer is never stolen from under a pinned
-//!   reader,
+//! * a publication never changes what a pinned view reads (path copying
+//!   never mutates an overlay chunk a reader shares),
 //! * a group-committed batch publishes atomically (a pinned view sees all
 //!   of it or none of it), across the overlay fold boundary too,
 //! * a write observed by any reader was already logged to the durability
@@ -27,8 +27,7 @@ use csv_btree::BPlusTree;
 use csv_common::sync::{AtomicBool, Mutex, Ordering::SeqCst};
 use csv_common::{Key, KeyValue, Value};
 use csv_concurrent::{
-    DurabilitySink, OverlayRepr, RcuCell, ReadPath, ShardCheckpoint, ShardedIndex, ShardingConfig,
-    WriteOp, WriteRecord,
+    DurabilitySink, RcuCell, ShardCheckpoint, ShardedIndex, ShardingConfig, WriteOp, WriteRecord,
 };
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -68,10 +67,7 @@ fn records(n: u64) -> Vec<KeyValue> {
 }
 
 fn one_shard_config(capacity: usize) -> ShardingConfig {
-    ShardingConfig::with_shards(1)
-        .with_read_path(ReadPath::Rcu)
-        .with_overlay(OverlayRepr::Vec)
-        .with_overlay_capacity(capacity)
+    ShardingConfig::with_shards(1).with_overlay_capacity(capacity)
 }
 
 /// The use-after-free canary at the heart of the grace-period argument,
@@ -240,21 +236,23 @@ fn exhaustive_drop_with_held_handles() {
     );
 }
 
-/// `publish_salvaging` recycles the displaced snapshot's flat overlay
-/// buffer — but only when the grace period hands it back *uniquely
-/// owned*. A reader that pinned the displaced generation must keep seeing
-/// its original contents, not a cleared or rewritten buffer.
+/// Publications never change a pinned view. Every write path-copies the
+/// overlay chunks on its key's root-to-leaf path and shares the rest with
+/// the displaced snapshot, so a reader that pinned that snapshot shares
+/// chunks with every successor: the successors' copies must never write
+/// into a chunk the pinned view reads, whether they add a key beside a
+/// pinned one, overwrite a pinned key or tombstone it.
 #[test]
-fn randomized_salvage_never_steals_a_pinned_overlay() {
+fn randomized_publications_never_change_a_pinned_view() {
     let opts = csv_check::Random {
         schedules: 1024,
         seed: 0x5A1_4A6E,
         ..csv_check::Random::default()
     };
     let report = csv_check::explore_random(opts, || {
-        // Flat overlay, capacity high enough that no fold interferes:
-        // every insert publishes a successor and tries to salvage the
-        // displaced snapshot's buffer.
+        // Capacity high enough that no fold interferes: every write
+        // publishes a successor whose overlay shares chunks with the
+        // pinned one.
         let index = Arc::new(ShardedIndex::<BPlusTree>::bulk_load(
             &records(3),
             one_shard_config(8),
@@ -262,25 +260,30 @@ fn randomized_salvage_never_steals_a_pinned_overlay() {
         index.insert(100, 100);
         let reader_index = Arc::clone(&index);
         let reader = csv_check::spawn(move || {
-            // Pin the current snapshot (overlay holds key 100), then keep
-            // reading through it while the writer publishes successors
-            // whose overlays want this buffer back.
-            let view = reader_index.read_view().expect("RCU path has views");
-            let before = (view.get(100), view.get(0), view.len());
-            let after = (view.get(100), view.get(0), view.len());
-            assert_eq!(before, after, "a pinned view changed under a reader");
-            assert_eq!(view.get(100), Some(100), "pinned overlay lost its slot");
+            // Pin the current snapshot (overlay holds key 100 at least),
+            // then read it again while the writer publishes successors.
+            let view = reader_index.read_view().expect("read_view is always Some");
+            let before = view.range(0, Key::MAX);
+            assert_eq!(view.len(), before.len());
+            let slot = view.get(100);
+            assert!(
+                slot == Some(100) || slot == Some(101) || slot.is_none(),
+                "pinned view read an unpublished value: {slot:?}"
+            );
+            csv_check::yield_point();
+            assert_eq!(view.range(0, Key::MAX), before, "a pinned view changed");
+            assert_eq!(view.get(100), slot, "a pinned overlay slot changed");
         });
         index.insert(200, 200);
-        index.insert(300, 300);
+        index.insert(100, 101);
+        index.remove(100);
         reader.join();
-        assert_eq!(index.get(100), Some(100));
+        assert_eq!(index.get(100), None);
         assert_eq!(index.get(200), Some(200));
-        assert_eq!(index.get(300), Some(300));
-        assert_eq!(index.len(), 6);
+        assert_eq!(index.len(), 4);
     });
     eprintln!(
-        "randomized salvage-vs-pinned-reader: {} schedules, {} distinct",
+        "randomized publications-vs-pinned-view: {} schedules, {} distinct",
         report.schedules, report.distinct
     );
 }
@@ -303,7 +306,7 @@ fn randomized_write_batch_fold_boundary_is_atomic_to_readers() {
         ));
         let reader_index = Arc::clone(&index);
         let reader = csv_check::spawn(move || {
-            let view = reader_index.read_view().expect("RCU path has views");
+            let view = reader_index.read_view().expect("read_view is always Some");
             let seen: Vec<bool> = [101, 102, 103, 104]
                 .iter()
                 .map(|&k| view.get(k).is_some())

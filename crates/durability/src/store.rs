@@ -34,8 +34,8 @@ use crate::wal::{read_wal, WalEnd, WalWriter};
 use csv_common::sync::{AtomicU64, Mutex, MutexGuard, Ordering};
 use csv_common::{Key, KeyValue, LearnedIndex, RangeIndex, Value};
 use csv_concurrent::{
-    DurabilitySink, ReadPath, RecoveredShard, ShardCheckpoint, ShardedIndex, ShardingConfig,
-    StaleSeed, WriteRecord,
+    DurabilitySink, RecoveredShard, ShardCheckpoint, ShardedIndex, ShardingConfig, StaleSeed,
+    WriteRecord,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -491,7 +491,6 @@ pub fn recover<I: LearnedIndex + RangeIndex>(
     sharding: ShardingConfig,
 ) -> Result<Recovered<I>, DurabilityError> {
     let started = Instant::now();
-    let sharding = sharding.with_read_path(ReadPath::Rcu);
     let manifest_path = config.data_dir.join(MANIFEST_NAME);
     let Some(entries) = read_manifest(&manifest_path)? else {
         return Err(DurabilityError::NotInitialized(config.data_dir.clone()));
@@ -613,7 +612,7 @@ mod tests {
     }
 
     fn sharding(shards: usize) -> ShardingConfig {
-        ShardingConfig::with_shards(shards).with_read_path(ReadPath::Rcu)
+        ShardingConfig::with_shards(shards)
     }
 
     #[test]

@@ -8,9 +8,7 @@ use csv_btree::BPlusTree;
 use csv_common::key::identity_records;
 use csv_common::sync::{AtomicUsize, Ordering};
 use csv_common::{Key, KeyValue, Value};
-use csv_concurrent::{
-    MaintenanceConfig, MaintenanceEngine, ReadPath, ShardedIndex, ShardingConfig, WriteOp,
-};
+use csv_concurrent::{MaintenanceConfig, MaintenanceEngine, ShardedIndex, ShardingConfig, WriteOp};
 use csv_core::{CsvConfig, CsvOptimizer};
 use csv_durability::{
     read_manifest, recover, DurabilityConfig, Fault, FileSink, Recovered, MANIFEST_NAME,
@@ -38,9 +36,7 @@ fn test_dir(tag: &str) -> PathBuf {
 fn sharding(shards: usize) -> ShardingConfig {
     // A small overlay capacity forces folds — and therefore mid-sequence
     // checkpoints with WAL truncation — inside even short op sequences.
-    ShardingConfig::with_shards(shards)
-        .with_read_path(ReadPath::Rcu)
-        .with_overlay_capacity(8)
+    ShardingConfig::with_shards(shards).with_overlay_capacity(8)
 }
 
 /// One generated operation: upsert `key -> value` or remove `key`.

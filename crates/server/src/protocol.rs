@@ -134,8 +134,9 @@ pub struct ServerStats {
     pub shards: u32,
     /// Worker threads serving connections.
     pub workers: u32,
-    /// `true` when reads go through lock-free RCU snapshots, `false` on
-    /// the locked baseline.
+    /// Always `true`: reads go through lock-free RCU snapshots, the only
+    /// read path. The field stays on the wire so the `Stats` frame layout
+    /// is unchanged.
     pub rcu: bool,
     /// Connections accepted since the server started.
     pub connections: u64,

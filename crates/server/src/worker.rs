@@ -10,7 +10,7 @@
 //! and responses are encoded in place (header reserved, then backpatched)
 //! into the connection's outbox — a request's bytes are copied by the
 //! kernel and by nobody else. Point reads go through the worker's pinned
-//! [`ReadView`] (zero atomics per lookup on the RCU path); the view is
+//! [`ReadView`] (zero atomics per lookup); the view is
 //! re-pinned after every write the worker performs and every
 //! `view_refresh` reads, bounding how far it can lag writes made on other
 //! workers. Hostile bytes never panic the worker: a typed
@@ -27,7 +27,7 @@ use core::ops::ControlFlow;
 use csv_common::key::{Key, Value};
 use csv_common::sync::Ordering;
 use csv_common::traits::{RangeIndex, RemovableIndex, SnapshotIndex};
-use csv_concurrent::{ReadPath, ReadView, ShardedIndex};
+use csv_concurrent::{ReadView, ShardedIndex};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, TryRecvError};
@@ -61,10 +61,10 @@ struct Conn {
     outbox: Vec<u8>,
 }
 
-/// The worker's view of the index: the pinned snapshot when the RCU path
-/// offers one, refreshed on writes and every `view_refresh` reads.
+/// The worker's view of the index: a pinned snapshot, refreshed on writes
+/// and every `view_refresh` reads.
 struct Pinned<I> {
-    view: Option<ReadView<I>>,
+    view: ReadView<I>,
     reads_since_pin: usize,
     view_refresh: usize,
 }
@@ -72,14 +72,14 @@ struct Pinned<I> {
 impl<I: SnapshotIndex + RangeIndex> Pinned<I> {
     fn new(index: &ShardedIndex<I>, view_refresh: usize) -> Self {
         Self {
-            view: index.read_view(),
+            view: pin(index),
             reads_since_pin: 0,
             view_refresh,
         }
     }
 
     fn repin(&mut self, index: &ShardedIndex<I>) {
-        self.view = index.read_view();
+        self.view = pin(index);
         self.reads_since_pin = 0;
     }
 
@@ -89,6 +89,10 @@ impl<I: SnapshotIndex + RangeIndex> Pinned<I> {
             self.repin(index);
         }
     }
+}
+
+fn pin<I: SnapshotIndex + RangeIndex>(index: &ShardedIndex<I>) -> ReadView<I> {
+    index.read_view().expect("read_view is always Some")
 }
 
 /// Serves one decoded request, appending the encoded response frame to
@@ -108,28 +112,20 @@ where
     let response = match req {
         Request::Get { key } => {
             pinned.before_read(index);
-            let value = match &pinned.view {
-                Some(view) => view.get(key),
-                None => index.get(key),
-            };
-            Response::Value(value)
+            Response::Value(pinned.view.get(key))
         }
         Request::MultiGet { keys } => {
             ops = keys.len() as u64;
             pinned.before_read(index);
-            let values = match &pinned.view {
-                Some(view) => view.multi_get(&keys),
-                None => index.multi_get(&keys),
-            };
-            Response::Values(values)
+            Response::Values(pinned.view.multi_get(&keys))
         }
         Request::Range { lo, hi, limit } => {
             // Stream records straight into the response frame as the scan
             // produces them — the full result set is never materialised.
-            // The scan runs under the pinned per-shard snapshots (RCU) or
-            // the live index (locked); `push` refuses the record that
-            // would overflow the frame cap and flags the truncation, and a
-            // satisfied `limit` stops the scan without flagging it.
+            // The scan runs under the pinned per-shard snapshots; `push`
+            // refuses the record that would overflow the frame cap and
+            // flags the truncation, and a satisfied `limit` stops the scan
+            // without flagging it.
             pinned.before_read(index);
             let mut stream = RecordStream::begin(outbox);
             let mut emit = |key: Key, value: Value| {
@@ -141,10 +137,7 @@ where
                 }
                 ControlFlow::Continue(())
             };
-            let _ = match &pinned.view {
-                Some(view) => view.range_visit(lo, hi, &mut emit),
-                None => index.range_visit(lo, hi, &mut emit),
-            };
+            let _ = pinned.view.range_visit(lo, hi, &mut emit);
             stream.finish();
             shared.ops.fetch_add(ops, Ordering::Relaxed);
             return false;
@@ -183,7 +176,7 @@ where
             keys: index.len() as u64,
             shards: index.num_shards() as u32,
             workers: shared.workers as u32,
-            rcu: index.read_path() == ReadPath::Rcu,
+            rcu: true,
             connections: shared.connections.load(Ordering::Relaxed),
             ops: shared.ops.load(Ordering::Relaxed),
             engine_healthy: shared.engine_is_healthy(),

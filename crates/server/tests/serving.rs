@@ -2,15 +2,12 @@
 //! picks; nothing here depends on a fixed port being free).
 //!
 //! The acceptance pins live here: `MultiGet` over the wire must equal N
-//! individual `Get`s, the locked-vs-RCU A/B must work through the server,
-//! a hostile byte stream must cost only its own connection, and the load
+//! individual `Get`s, a hostile byte stream must cost only its own connection, and the load
 //! generator must complete a YCSB run against a live server.
 
 use csv_btree::BPlusTree;
 use csv_common::key::identity_records;
-use csv_concurrent::{
-    MaintenanceConfig, MaintenanceEngine, ReadPath, ShardedIndex, ShardingConfig,
-};
+use csv_concurrent::{MaintenanceConfig, MaintenanceEngine, ShardedIndex, ShardingConfig};
 use csv_core::{CsvConfig, CsvOptimizer};
 use csv_datasets::Dataset;
 use csv_lipp::LippIndex;
@@ -22,12 +19,11 @@ use std::time::Duration;
 
 fn serve_btree(
     keys: &[u64],
-    read_path: ReadPath,
     workers: usize,
 ) -> (csv_server::ServerHandle, Arc<ShardedIndex<BPlusTree>>) {
     let index = Arc::new(ShardedIndex::<BPlusTree>::bulk_load(
         &identity_records(keys),
-        ShardingConfig::with_shards(4).with_read_path(read_path),
+        ShardingConfig::with_shards(4),
     ));
     let handle = spawn(
         Arc::clone(&index),
@@ -45,70 +41,68 @@ fn serve_btree(
 #[test]
 fn point_ops_round_trip_over_the_wire_on_both_read_paths() {
     let keys = Dataset::Genome.generate(20_000, 5);
-    for read_path in [ReadPath::Rcu, ReadPath::Locked] {
-        let (handle, _index) = serve_btree(&keys, read_path, 2);
-        let mut client = Client::connect(handle.local_addr()).unwrap();
+    let (handle, _index) = serve_btree(&keys, 2);
+    let mut client = Client::connect(handle.local_addr()).unwrap();
 
-        // Hits and misses.
-        assert_eq!(client.get(keys[17]).unwrap(), Some(keys[17]));
-        let absent = keys.last().unwrap() + 1;
-        assert_eq!(client.get(absent).unwrap(), None);
+    // Hits and misses.
+    assert_eq!(client.get(keys[17]).unwrap(), Some(keys[17]));
+    let absent = keys.last().unwrap() + 1;
+    assert_eq!(client.get(absent).unwrap(), None);
 
-        // Writes are visible to subsequent reads on the same connection.
-        assert!(client.insert(absent, 999).unwrap());
-        assert_eq!(client.get(absent).unwrap(), Some(999));
-        assert!(
-            !client.insert(absent, 1000).unwrap(),
-            "overwrite is not fresh"
-        );
-        assert_eq!(client.remove(absent).unwrap(), Some(1000));
-        assert_eq!(client.get(absent).unwrap(), None);
+    // Writes are visible to subsequent reads on the same connection.
+    assert!(client.insert(absent, 999).unwrap());
+    assert_eq!(client.get(absent).unwrap(), Some(999));
+    assert!(
+        !client.insert(absent, 1000).unwrap(),
+        "overwrite is not fresh"
+    );
+    assert_eq!(client.remove(absent).unwrap(), Some(1000));
+    assert_eq!(client.get(absent).unwrap(), None);
 
-        // Range scans with and without a limit.
-        let lo = keys[100];
-        let hi = keys[160];
-        let scan = client.range(lo, hi, 0).unwrap();
-        assert_eq!(scan.records.len(), 61);
-        assert!(!scan.truncated, "a 61-record scan is nowhere near the cap");
-        assert!(scan.records.windows(2).all(|w| w[0].key < w[1].key));
-        let limited = client.range(lo, hi, 10).unwrap();
-        assert_eq!(limited.records.len(), 10);
-        assert!(!limited.truncated, "a satisfied limit is not truncation");
+    // Range scans with and without a limit.
+    let lo = keys[100];
+    let hi = keys[160];
+    let scan = client.range(lo, hi, 0).unwrap();
+    assert_eq!(scan.records.len(), 61);
+    assert!(!scan.truncated, "a 61-record scan is nowhere near the cap");
+    assert!(scan.records.windows(2).all(|w| w[0].key < w[1].key));
+    let limited = client.range(lo, hi, 10).unwrap();
+    assert_eq!(limited.records.len(), 10);
+    assert!(!limited.truncated, "a satisfied limit is not truncation");
 
-        // Write batches report fresh inserts and remove hits.
-        let (fresh, hits) = client
-            .write_batch(&[
-                WriteOp::Insert {
-                    key: absent,
-                    value: 1,
-                },
-                WriteOp::Insert {
-                    key: absent,
-                    value: 2,
-                },
-                WriteOp::Remove { key: absent },
-                WriteOp::Remove { key: absent },
-            ])
-            .unwrap();
-        assert_eq!((fresh, hits), (1, 1));
+    // Write batches report fresh inserts and remove hits.
+    let (fresh, hits) = client
+        .write_batch(&[
+            WriteOp::Insert {
+                key: absent,
+                value: 1,
+            },
+            WriteOp::Insert {
+                key: absent,
+                value: 2,
+            },
+            WriteOp::Remove { key: absent },
+            WriteOp::Remove { key: absent },
+        ])
+        .unwrap();
+    assert_eq!((fresh, hits), (1, 1));
 
-        // Stats reflect the configuration.
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.keys, keys.len() as u64);
-        assert_eq!(stats.shards, 4);
-        assert_eq!(stats.workers, 2);
-        assert_eq!(stats.rcu, read_path == ReadPath::Rcu);
-        assert!(stats.engine_healthy, "no engine, nothing to be unhealthy");
-        assert!(!stats.maintenance);
-        assert!(stats.connections >= 1);
-        assert!(stats.ops >= 10);
+    // Stats reflect the configuration.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.keys, keys.len() as u64);
+    assert_eq!(stats.shards, 4);
+    assert_eq!(stats.workers, 2);
+    assert!(stats.rcu);
+    assert!(stats.engine_healthy, "no engine, nothing to be unhealthy");
+    assert!(!stats.maintenance);
+    assert!(stats.connections >= 1);
+    assert!(stats.ops >= 10);
 
-        client.shutdown().unwrap();
-        let report = handle.join();
-        assert!(report.ops >= 10);
-        assert!(report.engine_healthy);
-        assert_eq!(report.protocol_errors, 0);
-    }
+    client.shutdown().unwrap();
+    let report = handle.join();
+    assert!(report.ops >= 10);
+    assert!(report.engine_healthy);
+    assert_eq!(report.protocol_errors, 0);
 }
 
 /// The acceptance pin: a `MultiGet` frame returns exactly what N
@@ -116,7 +110,7 @@ fn point_ops_round_trip_over_the_wire_on_both_read_paths() {
 #[test]
 fn multi_get_over_the_wire_equals_n_individual_gets() {
     let keys = Dataset::Osm.generate(30_000, 7);
-    let (handle, index) = serve_btree(&keys, ReadPath::Rcu, 2);
+    let (handle, index) = serve_btree(&keys, 2);
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
     // Dirty the overlays so the batch crosses base + overlay + tombstones.
@@ -148,8 +142,8 @@ fn multi_get_over_the_wire_equals_n_individual_gets() {
 }
 
 /// The streaming-scan acceptance pins, over the wire: a `Range` frame
-/// returns exactly what the index's materialised `range` returns (both
-/// read paths, overlays dirtied), and a scan wider than one frame's
+/// returns exactly what the index's materialised `range` returns
+/// (overlays dirtied), and a scan wider than one frame's
 /// record capacity comes back truncated — a typed flag on a complete
 /// prefix, never a protocol error — and can be continued from the last
 /// key to cover the whole range.
@@ -158,49 +152,47 @@ fn range_over_the_wire_streams_truncates_and_continues() {
     // Dense sequential keys so a full-range scan comfortably exceeds the
     // ~65k records one 1 MiB frame can carry.
     let keys: Vec<u64> = (0..80_000u64).map(|i| i * 2).collect();
-    for read_path in [ReadPath::Rcu, ReadPath::Locked] {
-        let (handle, index) = serve_btree(&keys, read_path, 2);
-        let mut client = Client::connect(handle.local_addr()).unwrap();
+    let (handle, index) = serve_btree(&keys, 2);
+    let mut client = Client::connect(handle.local_addr()).unwrap();
 
-        // Dirty the overlays so the scan merges base + upserts + tombstones.
-        for &k in keys.iter().step_by(97) {
-            client.insert(k, k ^ 0xBEEF).unwrap();
-        }
-        for &k in keys.iter().step_by(41) {
-            client.remove(k).unwrap();
-        }
-
-        // Interior scan: wire result ≡ the served index's materialised range.
-        let (lo, hi) = (keys[1_000], keys[2_000]);
-        let scan = client.range(lo, hi, 0).unwrap();
-        assert!(!scan.truncated);
-        assert_eq!(scan.records, index.range(lo, hi));
-
-        // Full-range scan: more records exist than fit one frame, so the
-        // server truncates at the cap and says so.
-        let expected = index.range(0, u64::MAX);
-        assert!(expected.len() > csv_server::MAX_RECORDS_PER_FRAME);
-        let first = client.range(0, u64::MAX, 0).unwrap();
-        assert!(first.truncated, "an over-cap scan must report truncation");
-        assert_eq!(first.records.len(), csv_server::MAX_RECORDS_PER_FRAME);
-        assert_eq!(first.records[..], expected[..first.records.len()]);
-
-        // The truncated prefix is resumable: continue from the last key + 1
-        // until the server stops truncating, then compare the whole set.
-        let mut all = first.records.clone();
-        let mut truncated = first.truncated;
-        while truncated {
-            let next = client
-                .range(all.last().unwrap().key + 1, u64::MAX, 0)
-                .unwrap();
-            all.extend_from_slice(&next.records);
-            truncated = next.truncated;
-        }
-        assert_eq!(all, expected);
-
-        client.shutdown().unwrap();
-        handle.join();
+    // Dirty the overlays so the scan merges base + upserts + tombstones.
+    for &k in keys.iter().step_by(97) {
+        client.insert(k, k ^ 0xBEEF).unwrap();
     }
+    for &k in keys.iter().step_by(41) {
+        client.remove(k).unwrap();
+    }
+
+    // Interior scan: wire result ≡ the served index's materialised range.
+    let (lo, hi) = (keys[1_000], keys[2_000]);
+    let scan = client.range(lo, hi, 0).unwrap();
+    assert!(!scan.truncated);
+    assert_eq!(scan.records, index.range(lo, hi));
+
+    // Full-range scan: more records exist than fit one frame, so the
+    // server truncates at the cap and says so.
+    let expected = index.range(0, u64::MAX);
+    assert!(expected.len() > csv_server::MAX_RECORDS_PER_FRAME);
+    let first = client.range(0, u64::MAX, 0).unwrap();
+    assert!(first.truncated, "an over-cap scan must report truncation");
+    assert_eq!(first.records.len(), csv_server::MAX_RECORDS_PER_FRAME);
+    assert_eq!(first.records[..], expected[..first.records.len()]);
+
+    // The truncated prefix is resumable: continue from the last key + 1
+    // until the server stops truncating, then compare the whole set.
+    let mut all = first.records.clone();
+    let mut truncated = first.truncated;
+    while truncated {
+        let next = client
+            .range(all.last().unwrap().key + 1, u64::MAX, 0)
+            .unwrap();
+        all.extend_from_slice(&next.records);
+        truncated = next.truncated;
+    }
+    assert_eq!(all, expected);
+
+    client.shutdown().unwrap();
+    handle.join();
 }
 
 /// A hostile byte stream closes only its own connection: the worker
@@ -209,7 +201,7 @@ fn range_over_the_wire_streams_truncates_and_continues() {
 #[test]
 fn hostile_bytes_close_only_their_own_connection() {
     let keys = Dataset::Genome.generate(5_000, 3);
-    let (handle, _index) = serve_btree(&keys, ReadPath::Rcu, 1); // one worker owns both conns
+    let (handle, _index) = serve_btree(&keys, 1); // one worker owns both conns
     let addr = handle.local_addr();
     let mut good = Client::connect(addr).unwrap();
     assert_eq!(good.get(keys[0]).unwrap(), Some(keys[0]));
@@ -255,7 +247,7 @@ fn maintenance_engine_rides_behind_the_socket() {
     let keys = Dataset::Genome.generate(30_000, 11);
     let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load(
         &identity_records(&keys),
-        ShardingConfig::with_shards(4).with_read_path(ReadPath::Rcu),
+        ShardingConfig::with_shards(4),
     ));
     let engine = MaintenanceEngine::new(
         CsvOptimizer::new(CsvConfig::for_lipp(0.1)),
@@ -299,7 +291,7 @@ fn loadgen_completes_a_ycsb_b_run_and_shuts_the_server_down() {
     let size = 20_000;
     let seed = 21;
     let keys = Dataset::Genome.generate(size, seed);
-    let (handle, _index) = serve_btree(&keys, ReadPath::Rcu, 2);
+    let (handle, _index) = serve_btree(&keys, 2);
 
     let report = run_loadgen(&LoadgenConfig {
         addr: handle.local_addr().to_string(),
@@ -337,7 +329,7 @@ fn loadgen_completes_a_ycsb_b_run_and_shuts_the_server_down() {
 #[test]
 fn handle_side_shutdown_stops_an_idle_server() {
     let keys = Dataset::Genome.generate(2_000, 1);
-    let (handle, _index) = serve_btree(&keys, ReadPath::Locked, 2);
+    let (handle, _index) = serve_btree(&keys, 2);
     let mut client = Client::connect(handle.local_addr()).unwrap();
     assert_eq!(client.get(keys[5]).unwrap(), Some(keys[5]));
     assert!(!handle.is_stopping());

@@ -17,10 +17,10 @@
 //! 4. **Write-ahead ordering is textual.** Inside any one function body, no
 //!    `DurabilitySink` call (`.log_write(`, `.log_writes(`,
 //!    `.checkpoint(`, `.replace_shards(`) may appear after a snapshot
-//!    publication (`.publish(`, `.publish_salvaging(`) — the durability
-//!    contract is "durable before published", and a sink call textually
-//!    after the publish is almost certainly a write acknowledged to
-//!    readers before it could be recovered.
+//!    publication (`.publish(`) — the durability contract is "durable
+//!    before published", and a sink call textually after the publish is
+//!    almost certainly a write acknowledged to readers before it could be
+//!    recovered.
 //! 5. **No libm rounding on a lookup path.** Non-test code of the index
 //!    crates (`crates/{lipp,alex,sali,pgm,btree}/src`) and of the model modules
 //!    (`csv_common::{linear,quadratic,pla}`) may not call `.round()`,
@@ -55,8 +55,8 @@ const SYNC_ALLOWLIST: &[&str] = &["crates/common/src/sync.rs", "crates/check/"];
 /// unsafe file.
 const DENY_CRATES: &[&str] = &["crates/common/", "crates/concurrent/"];
 
-/// Publication calls that end a function's right to touch the sink.
-const PUBLISH_CALLS: &[&str] = &[".publish(", ".publish_salvaging("];
+/// The publication call that ends a function's right to touch the sink.
+const PUBLISH_CALL: &str = ".publish(";
 
 /// `DurabilitySink` call sites (method-call syntax, so trait *definitions*
 /// and similarly named free functions don't match).
@@ -423,11 +423,7 @@ fn lint_source(rel_path: &str, src: &str) -> Vec<Violation> {
     // Rule 4: no sink calls after a publication in the same fn body.
     for (open, end) in fn_body_ranges(&masked) {
         let body = &masked[open..end];
-        let first_publish = PUBLISH_CALLS
-            .iter()
-            .flat_map(|call| body.match_indices(*call).map(|(i, _)| i))
-            .min();
-        let Some(first_publish) = first_publish else {
+        let Some(first_publish) = body.find(PUBLISH_CALL) else {
             continue;
         };
         for call in SINK_CALLS {
@@ -628,13 +624,11 @@ mod tests {
 
     #[test]
     fn sink_calls_after_a_publish_are_flagged() {
-        let bad =
-            "fn write(&self) {\n    self.cell.publish(next);\n    sink.log_write(k, v, None);\n}\n";
+        let bad = "fn write(&self) {\n    shard.snap.publish(Arc::new(next));\n    sink.log_write(k, v, None);\n}\n";
         let violations = lint_source("crates/concurrent/src/sharded.rs", bad);
         assert_eq!(rules(&violations), vec!["publish-ordering"]);
         assert_eq!(violations[0].line, 3);
-        let good =
-            "fn write(&self) {\n    sink.log_write(k, v, None);\n    self.cell.publish(next);\n}\n";
+        let good = "fn write(&self) {\n    sink.log_write(k, v, None);\n    shard.snap.publish(Arc::new(next));\n}\n";
         assert!(lint_source("crates/concurrent/src/sharded.rs", good).is_empty());
     }
 

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --release --example recovery`
 
-use csv_concurrent::{OverlayRepr, ReadPath, ShardedIndex, ShardingConfig};
+use csv_concurrent::{ShardedIndex, ShardingConfig};
 use csv_datasets::Dataset;
 use csv_durability::{recover, DurabilityConfig, FileSink, FsyncPolicy};
 use csv_lipp::LippIndex;
@@ -27,11 +27,7 @@ fn main() {
 
     let keys = Dataset::Genome.generate(KEYS, 5);
     let records = records_from_keys(&keys);
-    let sharding = || {
-        ShardingConfig::with_shards(16)
-            .with_read_path(ReadPath::Rcu)
-            .with_overlay(OverlayRepr::Persistent)
-    };
+    let sharding = ShardingConfig::with_shards(16);
 
     // 1. Create the store and load the index through it: every shard gets a
     //    base checkpoint, then every acknowledged write is WAL-logged
@@ -40,7 +36,7 @@ fn main() {
         FileSink::create(DurabilityConfig::new(&data_dir).with_fsync(FsyncPolicy::OnCheckpoint))
             .expect("create store"),
     );
-    let index = ShardedIndex::<LippIndex>::bulk_load_durable(&records, sharding(), sink.clone());
+    let index = ShardedIndex::<LippIndex>::bulk_load_durable(&records, sharding, sink.clone());
     println!(
         "store created in {} ({} shards, {} keys)",
         data_dir.display(),
@@ -74,7 +70,7 @@ fn main() {
 
     // 4. Recovery: checkpoints load, WAL tails replay, staleness counters
     //    re-arm, and the store is re-checkpointed under fresh epochs.
-    let recovered = recover::<LippIndex>(DurabilityConfig::new(&data_dir), sharding())
+    let recovered = recover::<LippIndex>(DurabilityConfig::new(&data_dir), sharding)
         .expect("store must recover");
     let report = &recovered.report;
     println!(

@@ -9,9 +9,7 @@
 //!
 //! Run with: `cargo run --release --example serving`
 
-use csv_concurrent::{
-    MaintenanceConfig, MaintenanceEngine, ReadPath, ShardedIndex, ShardingConfig,
-};
+use csv_concurrent::{MaintenanceConfig, MaintenanceEngine, ShardedIndex, ShardingConfig};
 use csv_core::{CsvConfig, CsvOptimizer};
 use csv_datasets::Dataset;
 use csv_lipp::LippIndex;
@@ -24,13 +22,13 @@ const KEYS: usize = 200_000;
 const SEED: u64 = 42;
 
 fn main() {
-    // 1. Build the index the server will serve: sharded LIPP on the RCU
-    //    read path, smoothed by CSV, with the maintenance engine ticking
+    // 1. Build the index the server will serve: sharded LIPP, smoothed by
+    //    CSV, with the maintenance engine ticking
     //    splits/merges/re-optimisation behind the scenes.
     let keys = Dataset::Genome.generate(KEYS, SEED);
     let index = Arc::new(ShardedIndex::<LippIndex>::bulk_load(
         &records_from_keys(&keys),
-        ShardingConfig::with_shards(8).with_read_path(ReadPath::Rcu),
+        ShardingConfig::with_shards(8),
     ));
     index.optimize(&CsvOptimizer::new(CsvConfig::for_lipp(0.1)));
     let engine = MaintenanceEngine::new(

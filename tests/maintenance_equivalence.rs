@@ -12,8 +12,7 @@ use csv_alex::{AlexConfig, AlexIndex};
 use csv_common::traits::LearnedIndex;
 use csv_common::{Key, KeyValue};
 use csv_concurrent::{
-    MaintenanceAction, MaintenanceConfig, MaintenanceEngine, OverlayRepr, ReadPath, ShardedIndex,
-    ShardingConfig,
+    MaintenanceAction, MaintenanceConfig, MaintenanceEngine, ShardedIndex, ShardingConfig,
 };
 use csv_core::cost::CostModel;
 use csv_core::{CsvConfig, CsvIntegrable, CsvOptimizer};
@@ -112,22 +111,15 @@ proptest! {
         keys in btree_set(0u64..1_000_000, 256..1_000),
         ops in pvec((any::<u64>(), 0u8..6), 40..160),
         shards in 1usize..6,
-        rcu in any::<bool>(),
-        vec_overlay in any::<bool>(),
         overlay_capacity in 1usize..12,
     ) {
         let keys: Vec<Key> = keys.into_iter().collect();
         let records = records_from_keys(&keys);
-        let read_path = if rcu { ReadPath::Rcu } else { ReadPath::Locked };
-        // Both overlay representations, at a capacity tiny enough that
-        // folds interleave with the splits/merges/maintenance below.
-        let overlay = if vec_overlay { OverlayRepr::Vec } else { OverlayRepr::Persistent };
+        // An overlay capacity tiny enough that folds interleave with the
+        // splits/merges/maintenance below.
         let sharded = ShardedIndex::<LippIndex>::bulk_load(
             &records,
-            ShardingConfig::with_shards(shards)
-                .with_read_path(read_path)
-                .with_overlay(overlay)
-                .with_overlay_capacity(overlay_capacity),
+            ShardingConfig::with_shards(shards).with_overlay_capacity(overlay_capacity),
         );
         let mut oracle: BTreeMap<Key, u64> = keys.iter().map(|&k| (k, k)).collect();
         // An aggressive merge factor so the drained-shard trigger fires
@@ -197,45 +189,43 @@ fn engine_until_idle_equals_sharded_optimize() {
     let records = records_from_keys(&keys);
     let optimizer = CsvOptimizer::new(CsvConfig::for_lipp(0.1));
 
-    for read_path in [ReadPath::Locked, ReadPath::Rcu] {
-        let config = ShardingConfig::with_shards(4).with_read_path(read_path);
-        let reference = ShardedIndex::<LippIndex>::bulk_load(&records, config);
-        let reference_reports = reference.optimize(&optimizer);
+    let config = ShardingConfig::with_shards(4);
+    let reference = ShardedIndex::<LippIndex>::bulk_load(&records, config);
+    let reference_reports = reference.optimize(&optimizer);
 
-        let maintained = ShardedIndex::<LippIndex>::bulk_load(&records, config);
-        let engine = MaintenanceEngine::new(optimizer.clone(), MaintenanceConfig::default());
-        let actions = engine.run_until_idle(&maintained, 100);
-        assert!(actions.last().unwrap().is_idle());
+    let maintained = ShardedIndex::<LippIndex>::bulk_load(&records, config);
+    let engine = MaintenanceEngine::new(optimizer.clone(), MaintenanceConfig::default());
+    let actions = engine.run_until_idle(&maintained, 100);
+    assert!(actions.last().unwrap().is_idle());
 
-        // Per-shard reports match the full optimize, shard for shard (the
-        // engine visits stalest-first, so collect by shard position).
-        let mut maintained_reports: Vec<Option<csv_core::CsvReport>> =
-            vec![None; reference_reports.len()];
-        for action in &actions {
-            if let MaintenanceAction::Maintained {
-                shard,
-                report,
-                completed,
-            } = action
-            {
-                assert!(completed, "no budget is configured");
-                assert!(
-                    maintained_reports[*shard].replace(report.clone()).is_none(),
-                    "a quiesced shard must be maintained exactly once"
-                );
-            }
+    // Per-shard reports match the full optimize, shard for shard (the
+    // engine visits stalest-first, so collect by shard position).
+    let mut maintained_reports: Vec<Option<csv_core::CsvReport>> =
+        vec![None; reference_reports.len()];
+    for action in &actions {
+        if let MaintenanceAction::Maintained {
+            shard,
+            report,
+            completed,
+        } = action
+        {
+            assert!(completed, "no budget is configured");
+            assert!(
+                maintained_reports[*shard].replace(report.clone()).is_none(),
+                "a quiesced shard must be maintained exactly once"
+            );
         }
-        for (shard, reference_report) in reference_reports.iter().enumerate() {
-            let report = maintained_reports[shard]
-                .as_ref()
-                .unwrap_or_else(|| panic!("shard {shard} was never maintained"));
-            assert_eq!(report.outcomes, reference_report.outcomes, "shard {shard}");
-        }
+    }
+    for (shard, reference_report) in reference_reports.iter().enumerate() {
+        let report = maintained_reports[shard]
+            .as_ref()
+            .unwrap_or_else(|| panic!("shard {shard} was never maintained"));
+        assert_eq!(report.outcomes, reference_report.outcomes, "shard {shard}");
+    }
 
-        assert_eq!(maintained.stats(), reference.stats());
-        for &k in keys.iter().step_by(23) {
-            assert_eq!(maintained.get(k), reference.get(k));
-            assert_eq!(maintained.get(k), Some(k));
-        }
+    assert_eq!(maintained.stats(), reference.stats());
+    for &k in keys.iter().step_by(23) {
+        assert_eq!(maintained.get(k), reference.get(k));
+        assert_eq!(maintained.get(k), Some(k));
     }
 }

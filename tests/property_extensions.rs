@@ -9,7 +9,7 @@ use csv_common::quadratic::QuadraticModel;
 use csv_common::rng::XorShift64;
 use csv_common::traits::{LearnedIndex, RangeIndex, RemovableIndex, LOOKUP_BLOCK};
 use csv_common::{Key, LinearModel};
-use csv_concurrent::{ReadPath, ShardedIndex, ShardingConfig};
+use csv_concurrent::{ShardedIndex, ShardingConfig};
 use csv_core::poisoning::{poison_segment, PoisoningConfig};
 use csv_core::{
     smooth_segment, smooth_segment_quadratic, GreedyMode, QuadraticSmoothingConfig, SmoothingConfig,
@@ -245,14 +245,5 @@ proptest! {
         let lo = keys[keys.len() / 4];
         let hi = keys[3 * keys.len() / 4];
         prop_assert_eq!(sharded.range(lo, hi), flat.range(lo, hi));
-        // The locked read path must agree with the (default) RCU one.
-        let locked = ShardedIndex::<LippIndex>::bulk_load(
-            &records,
-            ShardingConfig::with_shards(shards).with_read_path(ReadPath::Locked),
-        );
-        prop_assert_eq!(locked.len(), sharded.len());
-        for &k in keys.iter().step_by(11) {
-            prop_assert_eq!(locked.get(k), sharded.get(k));
-        }
     }
 }

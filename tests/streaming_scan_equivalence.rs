@@ -1,8 +1,7 @@
 //! The streaming-scan acceptance pins: a collected `range_visit` must be
 //! byte-identical to the materialised `range` at every layer that grew a
 //! native visitor — each of the five indexes (trait layer), the sharded
-//! index on both read paths and both overlay representations (shard
-//! layer), and the pinned `ReadView` (the path the server's `Range`
+//! index (shard layer), and the pinned `ReadView` (the path the server's `Range`
 //! handler walks). Tiny overlay capacities force folds mid-workload so
 //! the merge-join crosses base/overlay/tombstone boundaries, and a
 //! mid-scan `limit` pins early termination against a truncated `range`.
@@ -11,7 +10,7 @@ use csv_alex::AlexIndex;
 use csv_btree::BPlusTree;
 use csv_common::traits::{collect_range_visit, LearnedIndex, RangeIndex, RemovableIndex};
 use csv_common::{Key, KeyValue};
-use csv_concurrent::{OverlayRepr, ReadPath, ShardedIndex, ShardingConfig};
+use csv_concurrent::{ShardedIndex, ShardingConfig};
 use csv_lipp::LippIndex;
 use csv_pgm::PgmIndex;
 use csv_repro::records_from_keys;
@@ -93,57 +92,46 @@ proptest! {
         (keys, writes, lo, hi, limit) in scan_case()
     ) {
         let records = records_from_keys(&keys);
-        for read_path in [ReadPath::Locked, ReadPath::Rcu] {
-            for overlay in [OverlayRepr::Vec, OverlayRepr::Persistent] {
-                // A tiny overlay folds every few writes, so the write tape
-                // exercises base-fold boundaries, not just overlay merges.
-                let index = ShardedIndex::<BPlusTree>::bulk_load(
-                    &records,
-                    ShardingConfig::with_shards(3)
-                        .with_read_path(read_path)
-                        .with_overlay(overlay)
-                        .with_overlay_capacity(4),
-                );
-                for &(k, remove) in &writes {
-                    if remove {
-                        index.remove(k);
-                    } else {
-                        index.insert(k, k ^ 0x5eed);
-                    }
-                }
-
-                let materialised = index.range(lo, hi);
-                let mut streamed: Vec<KeyValue> = Vec::new();
-                let _ = index.range_visit(lo, hi, &mut |key, value| {
-                    streamed.push(KeyValue { key, value });
-                    if limit != 0 && streamed.len() >= limit {
-                        core::ops::ControlFlow::Break(())
-                    } else {
-                        core::ops::ControlFlow::Continue(())
-                    }
-                });
-                let want = if limit == 0 {
-                    &materialised[..]
-                } else {
-                    &materialised[..limit.min(materialised.len())]
-                };
-                prop_assert_eq!(&streamed[..], want,
-                    "{:?}/{:?}: sharded streaming scan", read_path, overlay);
-
-                // The pinned-snapshot path (what the server's Range handler
-                // walks) must agree with the live index too.
-                if let Some(view) = index.read_view() {
-                    prop_assert_eq!(view.range(lo, hi), materialised.clone(),
-                        "{:?}: pinned view range", overlay);
-                    let mut view_streamed: Vec<KeyValue> = Vec::new();
-                    let _ = view.range_visit(lo, hi, &mut |key, value| {
-                        view_streamed.push(KeyValue { key, value });
-                        core::ops::ControlFlow::Continue(())
-                    });
-                    prop_assert_eq!(view_streamed, materialised,
-                        "{:?}: pinned view streaming scan", overlay);
-                }
+        // A tiny overlay folds every few writes, so the write tape
+        // exercises base-fold boundaries, not just overlay merges.
+        let index = ShardedIndex::<BPlusTree>::bulk_load(
+            &records,
+            ShardingConfig::with_shards(3).with_overlay_capacity(4),
+        );
+        for &(k, remove) in &writes {
+            if remove {
+                index.remove(k);
+            } else {
+                index.insert(k, k ^ 0x5eed);
             }
         }
+
+        let materialised = index.range(lo, hi);
+        let mut streamed: Vec<KeyValue> = Vec::new();
+        let _ = index.range_visit(lo, hi, &mut |key, value| {
+            streamed.push(KeyValue { key, value });
+            if limit != 0 && streamed.len() >= limit {
+                core::ops::ControlFlow::Break(())
+            } else {
+                core::ops::ControlFlow::Continue(())
+            }
+        });
+        let want = if limit == 0 {
+            &materialised[..]
+        } else {
+            &materialised[..limit.min(materialised.len())]
+        };
+        prop_assert_eq!(&streamed[..], want, "sharded streaming scan");
+
+        // The pinned-snapshot path (what the server's Range handler walks)
+        // must agree with the live index too.
+        let view = index.read_view().expect("read_view is always Some");
+        prop_assert_eq!(view.range(lo, hi), materialised.clone(), "pinned view range");
+        let mut view_streamed: Vec<KeyValue> = Vec::new();
+        let _ = view.range_visit(lo, hi, &mut |key, value| {
+            view_streamed.push(KeyValue { key, value });
+            core::ops::ControlFlow::Continue(())
+        });
+        prop_assert_eq!(view_streamed, materialised, "pinned view streaming scan");
     }
 }
