@@ -326,8 +326,10 @@ fn bench_recovery(c: &mut Criterion) {
 /// YCSB-B run spreads ~60 writes per shard), so their per-write copy term
 /// is dominated by snapshot-publication overhead. Here a single shard's
 /// overlay is pre-filled to `capacity` entries and every measured write
-/// overwrites an overlay slot without folding, copying one chunk path of
-/// the persistent map.
+/// overwrites an overlay slot without folding: it copies the persistent
+/// map's delta run (at most `csv_concurrent::pmap::delta_bound(4096)` =
+/// 256 entries here) and, about once per 256 writes, spills it into a new
+/// 4096-entry main run.
 fn bench_overlay_write_cost(c: &mut Criterion) {
     const CAPACITY: usize = 4096;
     let keys = Dataset::Osm.generate(KEYS, 5);
@@ -360,9 +362,10 @@ fn bench_overlay_write_cost(c: &mut Criterion) {
     });
     // The group-committed write path over the identical overwrite stream:
     // the same `CAPACITY` writes per iteration, grouped into `insert_batch`
-    // calls of 1/16/64/256 ops. A group is one overlay pass and one
-    // publication, so the per-write amortised cost falls as the batch
-    // grows; the batch-1 rows price the batch API's fixed overhead against
+    // calls of 1/16/64/256 ops. A group is one merge into a copy of the
+    // delta run and one publication, so the per-write amortised cost falls
+    // as the batch grows (a spill's copy of main is shared by more writes
+    // too); the batch-1 rows price the batch API's fixed overhead against
     // the point row above.
     for batch in [1usize, 16, 64, 256] {
         let mut bump = 0u64;

@@ -11,9 +11,10 @@
 //! successors published with a single pointer swap, so readers never stall
 //! behind maintenance, splits or merges. Read-mostly batches can pin a
 //! [`ReadView`] and drop even the RCU counter traffic. Pending point writes
-//! buffer in a per-snapshot overlay, the structurally shared persistent map
-//! [`pmap::PMap`], whose path-copying updates keep the per-write copy cost
-//! logarithmic in the buffered state.
+//! buffer in a per-snapshot overlay, the persistent two-run map
+//! [`pmap::PMap`]: a write copies only the small newer run (at most
+//! ≈ 4√n of n buffered entries) and shares the large older one, which it
+//! rewrites only when the small run spills into it.
 //!
 //! CSV-integrable indexes are re-optimised via [`ShardedIndex::optimize`],
 //! which plans and applies each shard's smoothing on a private successor

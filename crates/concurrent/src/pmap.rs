@@ -1,92 +1,51 @@
-//! A persistent (structurally shared) sorted map built from small
-//! `Arc`-shared chunks.
+//! A persistent sorted map held as two sorted runs.
 //!
 //! [`PMap`] is the overlay store behind the RCU shard snapshots
-//! ([`crate::sharded::ShardSnapshot`]): every point update returns a *new*
-//! map that shares all untouched chunks with its predecessor, so publishing
-//! a successor snapshot costs **O(log n + chunk)** clones instead of the
-//! O(n) full-overlay copy the flat `Vec` representation pays. That is the
-//! same structural trick SALI-style concurrent learned indexes use to keep
-//! per-write copy cost sublinear in buffered state.
+//! ([`crate::sharded::ShardSnapshot`]): every update returns a *new* map
+//! and leaves its predecessor intact, so a pinned snapshot never sees a
+//! later write. The map is the main-file + differential-file split
+//! (Severance & Lohman, "Differential Files", TODS 1976), the two-level
+//! case of an LSM-tree:
 //!
-//! The shape is a tiny B+-tree: leaves are sorted `Vec<(K, V)>` chunks of
-//! at most `MAX_CHUNK` entries, inner nodes fan out over at most
-//! `MAX_FANOUT` children, and every node sits behind an `Arc`. An insert
-//! path-copies the root-to-leaf spine (one chunk clone plus one pointer-vec
-//! clone per inner level) and leaves every sibling shared. Reads allocate
-//! nothing: [`PMap::get`] walks the spine, and [`PMap::iter`] /
-//! [`PMap::range`] stream entries through a small explicit stack.
+//! * `main` — a large sorted run, shared by every successor until a spill;
+//! * `delta` — a small sorted run of newer entries, which win over `main`.
 //!
-//! The map is deliberately minimal — upsert, remove, lookup, ordered
-//! iteration and range slicing — because snapshots never mutate in place:
-//! bulk transformations (the overlay *fold*) rebuild from scratch anyway.
+//! Each run is one `Arc<[(K, V)]>` allocation. A publication merges its
+//! batch into a copy of `delta` and shares `main`; when `delta` outgrows
+//! [`delta_bound`]`(|main|)` = max(32, ⌊√(16·|main|)⌋) it *spills*: both
+//! runs merge into a new `main` in one linear pass and `delta` restarts
+//! empty. With `D` the bound and `b` keys per publication, a publication
+//! copies O(D + |main|·b/D) entries amortised — O(√n) at n entries —
+//! sequentially, with no per-node refcount traffic.
+//!
+//! Reads allocate nothing: [`PMap::get`] binary-searches `delta` then
+//! `main`, [`PMap::get_many`] sweeps both runs forward once per batch, and
+//! [`PMap::iter`] / [`PMap::range`] merge the two slices on the fly. There
+//! is no removal: overlays delete by writing a tombstone value.
 
 use std::sync::Arc;
 
-/// Maximum entries per leaf chunk. An update clones exactly one chunk, so
-/// this bounds the per-write copy cost; lookups binary-search within it.
-/// Public so boundary tests can pin sequences at exactly the split point.
-pub const MAX_CHUNK: usize = 32;
+/// The smallest bound on `delta`'s length, so a small map does not spill
+/// on every few writes.
+const MIN_DELTA: usize = 32;
 
-/// Maximum children per inner node. An update clones one pointer vector
-/// per level, so this (with [`MAX_CHUNK`]) bounds the spine-copy cost.
-/// Public for the same boundary-pinning reason as [`MAX_CHUNK`].
-pub const MAX_FANOUT: usize = 16;
-
-/// One node of the chunk tree. `Clone` is an `Arc` bump — that is the
-/// structural sharing the whole module exists for.
-enum Node<K, V> {
-    /// A sorted run of entries.
-    Leaf(Arc<Vec<(K, V)>>),
-    /// A routing node over `MAX_FANOUT` or fewer children.
-    Inner(Arc<Inner<K, V>>),
+/// The most entries `delta` holds over a `main` run of `main_len` entries;
+/// the publication that would grow `delta` past it spills instead. Public
+/// so boundary tests can pin sequences at exactly the spill point.
+pub fn delta_bound(main_len: usize) -> usize {
+    MIN_DELTA.max(main_len.saturating_mul(16).isqrt())
 }
 
-impl<K, V> Clone for Node<K, V> {
-    fn clone(&self) -> Self {
-        match self {
-            Self::Leaf(chunk) => Self::Leaf(Arc::clone(chunk)),
-            Self::Inner(inner) => Self::Inner(Arc::clone(inner)),
-        }
-    }
-}
-
-/// An inner routing node: `mins[i]` is the smallest key stored anywhere in
-/// `children[i]`, so routing is one `partition_point` over `mins`.
-struct Inner<K, V> {
-    mins: Vec<K>,
-    children: Vec<Node<K, V>>,
-}
-
-/// The outcome of an insert below some node: the node was replaced, or it
-/// split and both halves (plus the right half's min key) replace it.
-enum Inserted<K, V> {
-    One(Node<K, V>),
-    Split(Node<K, V>, K, Node<K, V>),
-}
-
-/// The outcome of a removal below some node: the node was replaced, or it
-/// drained empty and disappears from its parent.
-enum Removed<K, V> {
-    One(Node<K, V>),
-    Gone,
-}
-
-/// A persistent sorted map: cheap to clone (one `Arc` bump), cheap to
-/// update (path copy), ordered to iterate. See the module docs for the
-/// design and [`crate::sharded`] for its role in the RCU write path.
+/// A persistent sorted map: cheap to clone (two `Arc` bumps), cheap to
+/// update (a copy of the small run), ordered to iterate. See the module
+/// docs for the design and [`crate::sharded`] for its role in the RCU
+/// write path.
+#[derive(Clone)]
 pub struct PMap<K, V> {
-    root: Node<K, V>,
+    main: Arc<[(K, V)]>,
+    delta: Arc<[(K, V)]>,
+    /// Distinct keys across both runs.
     len: usize,
-}
-
-impl<K, V> Clone for PMap<K, V> {
-    fn clone(&self) -> Self {
-        Self {
-            root: self.root.clone(),
-            len: self.len,
-        }
-    }
 }
 
 impl<K, V> Default for PMap<K, V> {
@@ -98,9 +57,16 @@ impl<K, V> Default for PMap<K, V> {
 impl<K, V> PMap<K, V> {
     /// An empty map.
     pub fn new() -> Self {
+        Self::from_sorted(Vec::new())
+    }
+
+    /// A map holding `entries` — sorted by key, no key twice — as its main
+    /// run, with an empty delta.
+    pub fn from_sorted(entries: Vec<(K, V)>) -> Self {
         Self {
-            root: Node::Leaf(Arc::new(Vec::new())),
-            len: 0,
+            len: entries.len(),
+            main: entries.into(),
+            delta: Arc::from(Vec::new()),
         }
     }
 
@@ -113,94 +79,49 @@ impl<K, V> PMap<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
+
+    /// Entries in the delta run, not yet spilled into the main run (a
+    /// spill leaves it at 0).
+    pub fn delta_len(&self) -> usize {
+        self.delta.len()
+    }
 }
 
 impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     /// Looks up `key`, allocating nothing.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let mut node = &self.root;
-        loop {
-            match node {
-                Node::Leaf(chunk) => {
-                    return match chunk.binary_search_by(|(k, _)| k.cmp(key)) {
-                        Ok(i) => Some(&chunk[i].1),
-                        Err(_) => None,
-                    }
-                }
-                Node::Inner(inner) => node = &inner.children[route(&inner.mins, key)],
-            }
-        }
+        seek(&self.delta, &mut 0, key).or_else(|| seek(&self.main, &mut 0, key))
     }
 
-    /// Looks up a whole sorted, de-duplicated batch of keys in one merged
-    /// descent — the group-commit analogue of [`PMap::get`]: routing work
-    /// is paid once per touched subtree instead of once per key, and each
-    /// leaf a batch key lands in is binary-probed in a single forward
-    /// sweep. Calls `hit(i, value)` for every `keys[i]` that is present,
-    /// in ascending key order; absent keys produce no call.
+    /// Looks up a whole sorted, de-duplicated batch of keys in one forward
+    /// sweep over each run — each probe searches only the suffix the
+    /// previous key left. Calls `hit(i, value)` for every `keys[i]` that is
+    /// present, in ascending key order; absent keys produce no call.
     pub fn get_many(&self, keys: &[K], mut hit: impl FnMut(usize, &V)) {
-        if !keys.is_empty() {
-            get_from(&self.root, keys, 0, &mut hit);
+        let (mut d, mut m) = (0, 0);
+        for (i, key) in keys.iter().enumerate() {
+            if let Some(v) =
+                seek(&self.delta, &mut d, key).or_else(|| seek(&self.main, &mut m, key))
+            {
+                hit(i, v);
+            }
         }
     }
 
     /// Returns a successor map with `key` bound to `value` plus the key's
-    /// previous value. The successor shares every chunk the update did not
-    /// touch with `self` — the per-call copy cost is one leaf chunk plus
-    /// one pointer vector per tree level.
+    /// previous value. The successor shares `main` with `self` unless the
+    /// write spills.
     pub fn insert(&self, key: K, value: V) -> (Self, Option<V>) {
-        let (outcome, previous) = insert_into(&self.root, key, value);
-        let root = match outcome {
-            Inserted::One(node) => node,
-            Inserted::Split(left, right_min, right) => {
-                let left_min = min_key(&left).expect("a split half is never empty").clone();
-                Node::Inner(Arc::new(Inner {
-                    mins: vec![left_min, right_min],
-                    children: vec![left, right],
-                }))
-            }
-        };
+        let previous = self.get(&key).cloned();
         let len = self.len + usize::from(previous.is_none());
-        (Self { root, len }, previous)
+        let delta = merge(&self.delta, &[(key, value)], |_| {});
+        (self.with_delta(delta, len), previous)
     }
 
-    /// Returns a successor map without `key` plus the removed value (the
-    /// map is returned unchanged — structurally shared wholesale — when the
-    /// key was absent). Leaves that drain empty are unlinked; partially
-    /// drained chunks are left underfull rather than rebalanced, which
-    /// keeps removal a pure path copy.
-    pub fn remove(&self, key: &K) -> (Self, Option<V>) {
-        let (outcome, previous) = remove_from(&self.root, key);
-        if previous.is_none() {
-            return (self.clone(), None);
-        }
-        let mut root = match outcome {
-            Removed::One(node) => node,
-            Removed::Gone => Node::Leaf(Arc::new(Vec::new())),
-        };
-        // Collapse single-child root chains so the depth tracks the live
-        // entry count, not the historical maximum.
-        while let Node::Inner(inner) = &root {
-            if inner.children.len() != 1 {
-                break;
-            }
-            root = inner.children[0].clone();
-        }
-        (
-            Self {
-                root,
-                len: self.len - 1,
-            },
-            previous,
-        )
-    }
-
-    /// Applies a whole sorted, de-duplicated batch of upserts in one pass,
-    /// returning the successor map — the group-commit analogue of
-    /// [`PMap::insert`]: each touched chunk is copied exactly **once** for
-    /// the whole batch, however many batch keys land in it, and untouched
-    /// siblings stay shared. A batch of N keys spread over M leaves costs
-    /// M chunk copies instead of N root-to-leaf path copies.
+    /// Applies a whole sorted, de-duplicated batch of upserts, returning
+    /// the successor map — the group-commit analogue of [`PMap::insert`]:
+    /// the batch merges into **one** copy of `delta` however many keys it
+    /// holds, and `main` stays shared unless the merged delta spills.
     pub fn insert_many(&self, batch: &[(K, V)]) -> Self {
         if batch.is_empty() {
             return self.clone();
@@ -209,44 +130,50 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
             batch.windows(2).all(|w| w[0].0 < w[1].0),
             "insert_many batches must be sorted and de-duplicated"
         );
-        let mut displaced = 0usize;
-        let mut nodes = ingest(&self.root, batch, &mut displaced);
-        // A large batch can fan one node out into many replacements; stack
-        // routing levels on top until a single root remains.
-        while nodes.len() > 1 {
-            nodes = pack_inners(nodes);
+        // Batch keys new to `delta` are new to the map unless `main` has them.
+        let (mut at, mut fresh) = (0, 0);
+        let delta = merge(&self.delta, batch, |key| {
+            fresh += usize::from(seek(&self.main, &mut at, key).is_none());
+        });
+        self.with_delta(delta, self.len + fresh)
+    }
+
+    /// The successor holding `delta` over this map's `main` (`len` distinct
+    /// keys in all), or, when `delta` outgrows its bound, the spill of both
+    /// into a new `main`.
+    fn with_delta(&self, delta: Vec<(K, V)>, len: usize) -> Self {
+        if delta.len() <= delta_bound(self.main.len()) {
+            return Self {
+                main: Arc::clone(&self.main),
+                delta: delta.into(),
+                len,
+            };
         }
-        Self {
-            root: nodes.pop().expect("ingest emits at least one node"),
-            len: self.len + batch.len() - displaced,
-        }
+        let main = merge(&self.main, &delta, |_| {});
+        debug_assert_eq!(main.len(), len, "a spill holds every distinct key");
+        Self::from_sorted(main)
     }
 
     /// Iterates every entry in ascending key order.
     pub fn iter(&self) -> Iter<'_, K, V> {
-        let mut iter = Iter {
-            stack: Vec::new(),
-            leaf: &[],
-            pos: 0,
-            end: None,
-        };
-        iter.descend_leftmost(&self.root);
-        iter
+        Iter {
+            main: &self.main,
+            delta: &self.delta,
+        }
     }
 
     /// Iterates the entries with keys in `[lo, hi]` in ascending order,
-    /// seeking directly to `lo`'s chunk (no scan of the preceding ones).
-    pub fn range(&self, lo: &K, hi: &K) -> Iter<'_, K, V> {
-        let mut iter = Iter {
-            stack: Vec::new(),
-            leaf: &[],
-            pos: 0,
-            end: Some(hi.clone()),
+    /// seeking directly to `lo` in both runs (no scan of the preceding
+    /// entries). Empty when `lo > hi`.
+    pub fn range<'a>(&'a self, lo: &K, hi: &K) -> Iter<'a, K, V> {
+        let slice = |run: &'a [(K, V)]| -> &'a [(K, V)] {
+            let from = &run[run.partition_point(|(k, _)| k < lo)..];
+            &from[..from.partition_point(|(k, _)| k <= hi)]
         };
-        if lo <= hi {
-            iter.seek(&self.root, lo);
+        Iter {
+            main: slice(&self.main),
+            delta: slice(&self.delta),
         }
-        iter
     }
 }
 
@@ -256,377 +183,70 @@ impl<K: Ord + Clone + std::fmt::Debug, V: Clone + std::fmt::Debug> std::fmt::Deb
     }
 }
 
-/// Index of the child of `mins` whose subtree owns `key`: the last child
-/// whose min is `<= key` (the first child also owns every key below its
-/// min, exactly like shard routing).
-fn route<K: Ord>(mins: &[K], key: &K) -> usize {
-    mins.partition_point(|m| m <= key).saturating_sub(1)
+/// Finds `key` in the sorted `run` at or after `*at`, leaving `*at` at the
+/// first entry not below `key` — so ascending probes sweep `run` once.
+fn seek<'a, K: Ord, V>(run: &'a [(K, V)], at: &mut usize, key: &K) -> Option<&'a V> {
+    *at += run[*at..].partition_point(|(k, _)| k < key);
+    run.get(*at).filter(|(k, _)| k == key).map(|(_, v)| v)
 }
 
-/// Smallest key stored under `node` (`None` only for an empty leaf, which
-/// exists only as the root of an empty map).
-fn min_key<K, V>(node: &Node<K, V>) -> Option<&K> {
-    match node {
-        Node::Leaf(chunk) => chunk.first().map(|(k, _)| k),
-        Node::Inner(inner) => inner.mins.first(),
-    }
-}
-
-/// Recursive worker behind [`PMap::get_many`]: slices the sorted key batch
-/// across the children exactly like `ingest` slices its write batch, so
-/// untouched subtrees are never entered. `offset` is `keys`' position in
-/// the original batch, letting `hit` report original indices.
-fn get_from<K: Ord, V>(
-    node: &Node<K, V>,
-    keys: &[K],
-    offset: usize,
-    hit: &mut impl FnMut(usize, &V),
-) {
-    match node {
-        Node::Leaf(chunk) => {
-            // Keys and chunk are both sorted: one forward sweep, each
-            // probe restricted to the suffix the previous key ended at.
-            let mut at = 0usize;
-            for (i, key) in keys.iter().enumerate() {
-                at += chunk[at..].partition_point(|(k, _)| k < key);
-                match chunk.get(at) {
-                    Some((k, v)) if k == key => hit(offset + i, v),
-                    _ => {}
-                }
-            }
-        }
-        Node::Inner(inner) => {
-            let mut start = 0usize;
-            for (idx, child) in inner.children.iter().enumerate() {
-                if start == keys.len() {
-                    break;
-                }
-                // This child's key slice: keys below the next child's min
-                // (the last child takes the rest), mirroring `route`.
-                let end = match inner.mins.get(idx + 1) {
-                    Some(next_min) => start + keys[start..].partition_point(|k| k < next_min),
-                    None => keys.len(),
-                };
-                if start < end {
-                    get_from(child, &keys[start..end], offset + start, hit);
-                }
-                start = end;
-            }
+/// Merges two sorted, de-duplicated runs into one; `newer` wins ties, and
+/// `added` sees every `newer` key that `older` lacks, in order. The
+/// stretches of `older` between consecutive `newer` keys are copied whole,
+/// so merging a short run into a long one is a few bulk copies.
+fn merge<K: Ord + Clone, V: Clone>(
+    older: &[(K, V)],
+    newer: &[(K, V)],
+    mut added: impl FnMut(&K),
+) -> Vec<(K, V)> {
+    let mut out = Vec::with_capacity(older.len() + newer.len());
+    let mut at = 0;
+    for entry in newer {
+        let end = at + older[at..].partition_point(|(k, _)| *k < entry.0);
+        out.extend_from_slice(&older[at..end]);
+        out.push(entry.clone());
+        at = end;
+        if older.get(end).is_some_and(|(k, _)| *k == entry.0) {
+            at += 1;
+        } else {
+            added(&entry.0);
         }
     }
+    out.extend_from_slice(&older[at..]);
+    out
 }
 
-fn insert_into<K: Ord + Clone, V: Clone>(
-    node: &Node<K, V>,
-    key: K,
-    value: V,
-) -> (Inserted<K, V>, Option<V>) {
-    match node {
-        Node::Leaf(chunk) => {
-            let mut entries = (**chunk).clone();
-            let previous = match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
-                Ok(i) => Some(std::mem::replace(&mut entries[i], (key, value)).1),
-                Err(i) => {
-                    entries.insert(i, (key, value));
-                    None
-                }
-            };
-            let outcome = if entries.len() > MAX_CHUNK {
-                let right = entries.split_off(entries.len() / 2);
-                let right_min = right[0].0.clone();
-                Inserted::Split(
-                    Node::Leaf(Arc::new(entries)),
-                    right_min,
-                    Node::Leaf(Arc::new(right)),
-                )
-            } else {
-                Inserted::One(Node::Leaf(Arc::new(entries)))
-            };
-            (outcome, previous)
-        }
-        Node::Inner(inner) => {
-            let idx = route(&inner.mins, &key);
-            let (child_outcome, previous) = insert_into(&inner.children[idx], key.clone(), value);
-            let mut mins = inner.mins.clone();
-            let mut children = inner.children.clone();
-            // A key below the subtree's current minimum routes to child 0
-            // and lowers its min.
-            if key < mins[idx] {
-                mins[idx] = key;
-            }
-            match child_outcome {
-                Inserted::One(child) => children[idx] = child,
-                Inserted::Split(left, right_min, right) => {
-                    children[idx] = left;
-                    children.insert(idx + 1, right);
-                    mins.insert(idx + 1, right_min);
-                }
-            }
-            let outcome = if children.len() > MAX_FANOUT {
-                let right_children = children.split_off(children.len() / 2);
-                let right_mins = mins.split_off(mins.len() / 2);
-                let right_min = right_mins[0].clone();
-                Inserted::Split(
-                    Node::Inner(Arc::new(Inner { mins, children })),
-                    right_min,
-                    Node::Inner(Arc::new(Inner {
-                        mins: right_mins,
-                        children: right_children,
-                    })),
-                )
-            } else {
-                Inserted::One(Node::Inner(Arc::new(Inner { mins, children })))
-            };
-            (outcome, previous)
-        }
-    }
-}
-
-/// Recursive worker behind [`PMap::insert_many`]: returns the replacement
-/// nodes for `node` (more than one when the batch overflowed it), counting
-/// overwritten keys into `displaced`. Children the batch does not touch are
-/// shared wholesale — only the chunks a batch key actually lands in are
-/// copied, and each exactly once.
-fn ingest<K: Ord + Clone, V: Clone>(
-    node: &Node<K, V>,
-    batch: &[(K, V)],
-    displaced: &mut usize,
-) -> Vec<Node<K, V>> {
-    if batch.is_empty() {
-        return vec![node.clone()];
-    }
-    match node {
-        Node::Leaf(chunk) => {
-            // One merge-join of the chunk with its batch slice (batch wins
-            // on ties): the single copy this leaf pays for the whole batch.
-            let mut merged: Vec<(K, V)> = Vec::with_capacity(chunk.len() + batch.len());
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < chunk.len() && j < batch.len() {
-                match chunk[i].0.cmp(&batch[j].0) {
-                    std::cmp::Ordering::Less => {
-                        merged.push(chunk[i].clone());
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        merged.push(batch[j].clone());
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        merged.push(batch[j].clone());
-                        *displaced += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            merged.extend(chunk[i..].iter().cloned());
-            merged.extend(batch[j..].iter().cloned());
-            // Re-chunk evenly so no emitted leaf exceeds `MAX_CHUNK` and
-            // none is pathologically small.
-            let leaves = merged.len().div_ceil(MAX_CHUNK);
-            let per_leaf = merged.len().div_ceil(leaves);
-            merged
-                .chunks(per_leaf)
-                .map(|entries| Node::Leaf(Arc::new(entries.to_vec())))
-                .collect()
-        }
-        Node::Inner(inner) => {
-            let mut children: Vec<Node<K, V>> = Vec::with_capacity(inner.children.len());
-            let mut start = 0usize;
-            for (idx, child) in inner.children.iter().enumerate() {
-                // This child's batch slice: keys below the next child's min
-                // (the last child takes the rest; child 0 also takes keys
-                // below its own min, exactly like `route`).
-                let end = match inner.mins.get(idx + 1) {
-                    Some(next_min) => start + batch[start..].partition_point(|(k, _)| k < next_min),
-                    None => batch.len(),
-                };
-                if start == end {
-                    children.push(child.clone());
-                } else {
-                    children.extend(ingest(child, &batch[start..end], displaced));
-                }
-                start = end;
-            }
-            pack_inners(children)
-        }
-    }
-}
-
-/// Packs replacement nodes into evenly sized inner nodes of at most
-/// [`MAX_FANOUT`] children each.
-fn pack_inners<K: Ord + Clone, V: Clone>(children: Vec<Node<K, V>>) -> Vec<Node<K, V>> {
-    let inners = children.len().div_ceil(MAX_FANOUT);
-    let per_inner = children.len().div_ceil(inners);
-    children
-        .chunks(per_inner)
-        .map(|group| {
-            Node::Inner(Arc::new(Inner {
-                mins: group
-                    .iter()
-                    .map(|n| min_key(n).expect("ingest emits no empty nodes").clone())
-                    .collect(),
-                children: group.to_vec(),
-            }))
-        })
-        .collect()
-}
-
-fn remove_from<K: Ord + Clone, V: Clone>(node: &Node<K, V>, key: &K) -> (Removed<K, V>, Option<V>) {
-    match node {
-        Node::Leaf(chunk) => match chunk.binary_search_by(|(k, _)| k.cmp(key)) {
-            Ok(i) => {
-                if chunk.len() == 1 {
-                    return (Removed::Gone, Some(chunk[i].1.clone()));
-                }
-                let mut entries = (**chunk).clone();
-                let (_, previous) = entries.remove(i);
-                (Removed::One(Node::Leaf(Arc::new(entries))), Some(previous))
-            }
-            Err(_) => (Removed::One(node.clone()), None),
-        },
-        Node::Inner(inner) => {
-            let idx = route(&inner.mins, key);
-            let (child_outcome, previous) = remove_from(&inner.children[idx], key);
-            if previous.is_none() {
-                return (Removed::One(node.clone()), None);
-            }
-            let mut mins = inner.mins.clone();
-            let mut children = inner.children.clone();
-            match child_outcome {
-                Removed::One(child) => {
-                    // Removing the child's min key raises its subtree min.
-                    mins[idx] = min_key(&child)
-                        .expect("a non-Gone child is never empty")
-                        .clone();
-                    children[idx] = child;
-                }
-                Removed::Gone => {
-                    children.remove(idx);
-                    mins.remove(idx);
-                }
-            }
-            if children.is_empty() {
-                (Removed::Gone, previous)
-            } else {
-                (
-                    Removed::One(Node::Inner(Arc::new(Inner { mins, children }))),
-                    previous,
-                )
-            }
-        }
-    }
-}
-
-/// An in-order walk of the chunk tree: a stack of `(inner node, child
-/// index)` frames above the current leaf. Yields borrowed entries, so
-/// iteration allocates nothing beyond the stack itself (whose depth is
-/// `O(log n)`).
+/// An in-order merge of the two runs' remaining slices: borrowed entries,
+/// no allocation, and a `delta` entry shadows the `main` entry with the
+/// same key.
 pub struct Iter<'a, K, V> {
-    stack: Vec<(&'a Inner<K, V>, usize)>,
-    leaf: &'a [(K, V)],
-    pos: usize,
-    /// Inclusive upper bound for range iteration (`None` = unbounded).
-    end: Option<K>,
-}
-
-impl<'a, K: Ord, V> Iter<'a, K, V> {
-    /// Descends to the leftmost leaf under `node`, pushing the spine.
-    fn descend_leftmost(&mut self, mut node: &'a Node<K, V>) {
-        loop {
-            match node {
-                Node::Leaf(chunk) => {
-                    self.leaf = chunk;
-                    self.pos = 0;
-                    return;
-                }
-                Node::Inner(inner) => {
-                    self.stack.push((inner, 0));
-                    node = &inner.children[0];
-                }
-            }
-        }
-    }
-
-    /// Descends to the first entry with key `>= lo`, pushing the spine.
-    fn seek(&mut self, mut node: &'a Node<K, V>, lo: &K) {
-        loop {
-            match node {
-                Node::Leaf(chunk) => {
-                    self.leaf = chunk;
-                    self.pos = chunk.partition_point(|(k, _)| k < lo);
-                    return;
-                }
-                Node::Inner(inner) => {
-                    let idx = route(&inner.mins, lo);
-                    self.stack.push((inner, idx));
-                    node = &inner.children[idx];
-                }
-            }
-        }
-    }
-
-    /// Moves to the next leaf after the current one is exhausted.
-    fn advance_leaf(&mut self) -> bool {
-        while let Some((inner, idx)) = self.stack.pop() {
-            if idx + 1 < inner.children.len() {
-                self.stack.push((inner, idx + 1));
-                self.descend_leftmost(&inner.children[idx + 1]);
-                return true;
-            }
-        }
-        false
-    }
+    main: &'a [(K, V)],
+    delta: &'a [(K, V)],
 }
 
 impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.pos < self.leaf.len() {
-                let (k, v) = &self.leaf[self.pos];
-                if self.end.as_ref().is_some_and(|end| k > end) {
-                    // Past the range bound: later entries only grow, stop.
-                    self.leaf = &[];
-                    self.stack.clear();
-                    return None;
+        let (main, delta) = (self.main, self.delta);
+        let from_delta = match (main.first(), delta.first()) {
+            (Some((m, _)), Some((d, _))) => {
+                if m == d {
+                    // Shadowed by the newer `delta` entry.
+                    self.main = &main[1..];
                 }
-                self.pos += 1;
-                return Some((k, v));
+                m >= d
             }
-            if !self.advance_leaf() {
-                return None;
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-impl<K, V> PMap<K, V> {
-    /// Test hook: the raw pointers of every leaf chunk, for structural-
-    /// sharing assertions (`Arc::ptr_eq` across map generations).
-    fn leaf_ptrs(&self) -> Vec<*const ()> {
-        fn walk<K, V>(node: &Node<K, V>, out: &mut Vec<*const ()>) {
-            match node {
-                Node::Leaf(chunk) => out.push(Arc::as_ptr(chunk).cast()),
-                Node::Inner(inner) => inner.children.iter().for_each(|c| walk(c, out)),
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.root, &mut out);
-        out
-    }
-
-    /// Test hook: tree depth (1 = a lone leaf).
-    fn depth(&self) -> usize {
-        let mut node = &self.root;
-        let mut depth = 1;
-        while let Node::Inner(inner) = node {
-            node = &inner.children[0];
-            depth += 1;
-        }
-        depth
+            (m, _) => m.is_none(),
+        };
+        let run = if from_delta {
+            &mut self.delta
+        } else {
+            &mut self.main
+        };
+        let ((k, v), rest) = run.split_first()?;
+        *run = rest;
+        Some((k, v))
     }
 }
 
@@ -636,33 +256,34 @@ mod tests {
     use csv_common::rng::SplitMix64;
     use std::collections::BTreeMap;
 
-    #[test]
-    fn empty_map_behaves() {
-        let map: PMap<u64, u64> = PMap::new();
-        assert!(map.is_empty());
-        assert_eq!(map.len(), 0);
-        assert_eq!(map.get(&7), None);
-        assert_eq!(map.iter().count(), 0);
-        assert_eq!(map.range(&0, &u64::MAX).count(), 0);
-        let (map, previous) = map.remove(&7);
-        assert!(previous.is_none() && map.is_empty());
+    fn entries(map: &PMap<u64, u64>) -> Vec<(u64, u64)> {
+        map.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     #[test]
-    fn inserts_overwrite_and_report_previous_values() {
-        let map = PMap::new();
-        let (map, previous) = map.insert(5u64, 50u64);
+    fn empty_map_behaves_and_inserts_report_previous_values() {
+        let map: PMap<u64, u64> = PMap::new();
+        assert!(map.is_empty() && map.get(&7).is_none());
+        assert_eq!(
+            (map.iter().count(), map.range(&0, &u64::MAX).count()),
+            (0, 0)
+        );
+        map.get_many(&[1, 2, 3], |_, _| panic!("no entries, no hits"));
+        let (map, previous) = map.insert(5, 50);
         assert_eq!(previous, None);
         let (map, previous) = map.insert(5, 51);
-        assert_eq!(previous, Some(50));
-        assert_eq!(map.len(), 1);
-        assert_eq!(map.get(&5), Some(&51));
+        assert_eq!((previous, map.len(), map.get(&5)), (Some(50), 1, Some(&51)));
+    }
+
+    #[test]
+    fn delta_bound_grows_with_the_square_root_of_main() {
+        let bounds = [0, 64, 66, 4_096, 4_097, usize::MAX].map(delta_bound);
+        assert_eq!(bounds, [32, 32, 32, 256, 256, usize::MAX.isqrt()]);
     }
 
     /// The map must agree with a `BTreeMap` oracle through a long random
-    /// interleaving of upserts, removals, lookups and range slices — the
-    /// full public surface, across enough entries to force multi-level
-    /// trees and chunk splits.
+    /// interleaving of upserts, lookups and range slices — the full public
+    /// surface, across enough entries to spill many times.
     #[test]
     fn random_interleaving_matches_a_btreemap_oracle() {
         for seed in [3u64, 17, 2029] {
@@ -671,18 +292,12 @@ mod tests {
             let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
             for step in 0..6_000u64 {
                 let key = rng.next_u64() % 2_048;
-                match rng.next_u64() % 4 {
-                    0 | 1 => {
-                        let (next, previous) = map.insert(key, step);
-                        assert_eq!(previous, oracle.insert(key, step));
-                        map = next;
-                    }
-                    2 => {
-                        let (next, previous) = map.remove(&key);
-                        assert_eq!(previous, oracle.remove(&key));
-                        map = next;
-                    }
-                    _ => assert_eq!(map.get(&key), oracle.get(&key)),
+                if rng.next_u64().is_multiple_of(3) {
+                    assert_eq!(map.get(&key), oracle.get(&key));
+                } else {
+                    let (next, previous) = map.insert(key, step);
+                    assert_eq!(previous, oracle.insert(key, step));
+                    map = next;
                 }
                 assert_eq!(map.len(), oracle.len());
                 if step % 241 == 0 {
@@ -694,149 +309,80 @@ mod tests {
                     assert_eq!(got, expected, "range [{lo}, {hi}] diverged at step {step}");
                 }
             }
-            let got: Vec<u64> = map.iter().map(|(k, _)| *k).collect();
-            let expected: Vec<u64> = oracle.keys().copied().collect();
-            assert_eq!(got, expected, "ordered iteration diverged (seed {seed})");
+            let expected: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(entries(&map), expected, "iteration diverged (seed {seed})");
         }
     }
 
-    /// The whole point of the structure: a point update into a large map
-    /// must share all but the root-to-leaf spine with its predecessor, and
-    /// the predecessor must be left untouched.
+    /// Persistence across spills: a clone taken before the map spills twice
+    /// still iterates exactly its own contents, while the successor holds
+    /// the later writes.
     #[test]
-    fn updates_are_path_copies_and_persist_the_predecessor() {
-        let mut map: PMap<u64, u64> = PMap::new();
-        for k in 0..4_096u64 {
-            map = map.insert(k, k).0;
-        }
-        assert!(map.depth() >= 3, "4096 entries must build a real tree");
-        let before = map.leaf_ptrs();
-
-        let (updated, previous) = map.insert(1_234, 999);
-        assert_eq!(previous, Some(1_234));
-        let after = updated.leaf_ptrs();
-        assert_eq!(before.len(), after.len());
-        let shared = after.iter().filter(|p| before.contains(p)).count();
-        assert_eq!(
-            shared,
-            after.len() - 1,
-            "an overwrite must replace exactly one leaf chunk"
-        );
-        // Persistence: the predecessor still serves the old value.
-        assert_eq!(map.get(&1_234), Some(&1_234));
-        assert_eq!(updated.get(&1_234), Some(&999));
-
-        // A fresh insert may split one chunk but still shares every other.
-        let (grown, _) = map.insert(10_000, 1);
-        let grown_ptrs = grown.leaf_ptrs();
-        let fresh = grown_ptrs.iter().filter(|p| !before.contains(p)).count();
-        assert!(
-            fresh <= 2,
-            "an insert must touch at most one chunk (two after a split), got {fresh}"
-        );
-    }
-
-    #[test]
-    fn removals_unlink_drained_chunks_and_collapse_the_root() {
-        let mut map: PMap<u64, u64> = PMap::new();
-        for k in 0..512u64 {
-            map = map.insert(k, k).0;
-        }
-        let deep = map.depth();
-        assert!(deep >= 2);
-        for k in 0..511u64 {
-            let (next, previous) = map.remove(&k);
-            assert_eq!(previous, Some(k));
+    fn a_clone_outlives_later_spills() {
+        let mut map: PMap<u64, u64> = PMap::from_sorted((0..100).map(|k| (2 * k, k)).collect());
+        map = map.insert_many(&[(1, 1), (4, 40)]);
+        let pinned = map.clone();
+        let before = entries(&pinned);
+        let mut spills = 0;
+        for k in 0..200u64 {
+            let (next, _) = map.insert(k * 3, k);
+            spills += usize::from(next.delta_len() < map.delta_len());
             map = next;
         }
-        assert_eq!(map.len(), 1);
-        assert_eq!(map.get(&511), Some(&511));
-        assert_eq!(
-            map.depth(),
-            1,
-            "a drained tree must collapse back to a lone leaf"
-        );
+        assert!(spills >= 2, "the writes spilled {spills} times");
+        assert_eq!(entries(&pinned), before);
+        assert_eq!(pinned.len(), before.len());
+        assert_eq!(pinned.get(&4), Some(&40));
+        assert_eq!(map.get(&3), Some(&1));
     }
 
+    /// The whole point of the split: a write that does not spill shares
+    /// `main` with its predecessor and copies only `delta`; a spill
+    /// replaces `main` and empties `delta`.
     #[test]
-    fn range_seeks_without_scanning_and_respects_bounds() {
-        let mut map: PMap<u64, u64> = PMap::new();
-        for k in (0..10_000u64).step_by(3) {
-            map = map.insert(k, k * 2).0;
+    fn non_spilling_successors_share_main() {
+        let mut map: PMap<u64, u64> = PMap::from_sorted((0..4_096).map(|k| (k, k)).collect());
+        let bound = delta_bound(4_096);
+        for k in 0..bound as u64 {
+            let next = map.insert_many(&[(k * 16, 0)]);
+            assert!(Arc::ptr_eq(&next.main, &map.main), "write {k} copied main");
+            assert_eq!(next.delta_len(), k as usize + 1);
+            map = next;
         }
-        // Bounds between stored keys.
-        let got: Vec<u64> = map.range(&100, &121).map(|(k, _)| *k).collect();
-        assert_eq!(got, vec![102, 105, 108, 111, 114, 117, 120]);
-        // Inclusive on both ends.
-        let got: Vec<u64> = map.range(&102, &108).map(|(k, _)| *k).collect();
-        assert_eq!(got, vec![102, 105, 108]);
-        // Inverted and out-of-range bounds are empty.
-        assert_eq!(map.range(&50, &40).count(), 0);
-        assert_eq!(map.range(&20_000, &30_000).count(), 0);
-        // Full-range iteration equals `iter`.
-        assert_eq!(map.range(&0, &u64::MAX).count(), map.iter().count());
+        let spilled = map.insert(1, 0).0;
+        assert!(!Arc::ptr_eq(&spilled.main, &map.main));
+        assert_eq!((spilled.delta_len(), spilled.main.len()), (0, 4_096));
+        // An empty batch is a wholesale share.
+        let same = map.insert_many(&[]);
+        assert!(Arc::ptr_eq(&same.main, &map.main) && Arc::ptr_eq(&same.delta, &map.delta));
     }
 
-    /// `insert_many` must be observationally identical to the same keys
-    /// applied through repeated `insert` — contents, length and overwrite
-    /// accounting — across batch sizes that leave the tree untouched,
-    /// split single chunks and overflow whole subtrees.
+    /// `insert_many` must be observationally identical to folding `insert`
+    /// over the batch — contents and length — across batch sizes that fit
+    /// in `delta`, spill it, and exceed the whole map.
     #[test]
-    fn insert_many_matches_repeated_inserts() {
+    fn insert_many_matches_folded_inserts() {
         let mut rng = SplitMix64::new(41);
-        let mut map: PMap<u64, u64> = PMap::new();
-        let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut batched: PMap<u64, u64> = PMap::new();
+        let mut pointwise: PMap<u64, u64> = PMap::new();
         for round in 0..60u64 {
-            let size = [0usize, 1, 3, MAX_CHUNK, 4 * MAX_CHUNK, 400][(round % 6) as usize];
+            let size = [0usize, 1, 3, MIN_DELTA, 4 * MIN_DELTA, 400][(round % 6) as usize];
             let mut batch: Vec<(u64, u64)> =
                 (0..size).map(|_| (rng.next_u64() % 4_096, round)).collect();
             batch.sort_by_key(|&(k, _)| k);
             batch.dedup_by_key(|&mut (k, _)| k);
-            let next = map.insert_many(&batch);
-            for &(k, v) in &batch {
-                oracle.insert(k, v);
-            }
-            assert_eq!(next.len(), oracle.len(), "round {round} length diverged");
-            map = next;
+            batched = batched.insert_many(&batch);
+            pointwise = batch
+                .iter()
+                .fold(pointwise, |map, &(k, v)| map.insert(k, v).0);
+            assert_eq!(batched.len(), pointwise.len(), "round {round}");
+            assert_eq!(entries(&batched), entries(&pointwise), "round {round}");
         }
-        let got: Vec<(u64, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
-        let expected: Vec<(u64, u64)> = oracle.iter().map(|(&k, &v)| (k, v)).collect();
-        assert_eq!(got, expected);
     }
 
-    /// The group-commit guarantee: a batch confined to a few leaves copies
-    /// exactly those leaves once and shares every other chunk with the
-    /// predecessor — N keys into one chunk must not cost N path copies.
-    #[test]
-    fn insert_many_copies_each_touched_chunk_once() {
-        let mut map: PMap<u64, u64> = PMap::new();
-        for k in 0..4_096u64 {
-            map = map.insert(k, k).0;
-        }
-        let before = map.leaf_ptrs();
-
-        // Overwrite a contiguous run that fits in one or two chunks.
-        let batch: Vec<(u64, u64)> = (100..100 + MAX_CHUNK as u64 / 2).map(|k| (k, 0)).collect();
-        let updated = map.insert_many(&batch);
-        let after = updated.leaf_ptrs();
-        let fresh = after.iter().filter(|p| !before.contains(p)).count();
-        assert!(
-            fresh <= 2,
-            "a one-run batch must copy at most the chunks it spans, got {fresh} fresh chunks"
-        );
-        // Persistence: the predecessor is untouched.
-        assert_eq!(map.get(&100), Some(&100));
-        assert_eq!(updated.get(&100), Some(&0));
-
-        // An empty batch is a wholesale share.
-        let same = map.insert_many(&[]);
-        assert_eq!(same.leaf_ptrs(), before);
-    }
-
-    /// Cloning is O(1) (an `Arc` bump), and clones diverge independently.
     /// `get_many` must agree with per-key `get` for every key of a sorted
-    /// probe batch — hits and misses mixed, across a deep tree, including
-    /// keys below the minimum, above the maximum, and inside chunk gaps.
+    /// probe batch — hits in either run and misses mixed, including keys
+    /// below the minimum and above the maximum.
     #[test]
     fn get_many_matches_individual_gets() {
         let mut rng = SplitMix64::new(0x6E7);
@@ -845,10 +391,12 @@ mod tests {
             let k = rng.next_u64() % 8_192;
             map = map.insert(k, k * 3).0;
         }
-        assert!(map.depth() >= 3, "the probe must cross a real tree");
+        assert!(
+            map.delta_len() > 0 && !map.main.is_empty(),
+            "both runs hold keys"
+        );
         let mut probes: Vec<u64> = (0..512).map(|_| rng.next_u64() % 10_000).collect();
-        probes.push(0); // below every stored key (almost surely)
-        probes.push(u64::MAX); // above every stored key
+        probes.extend([0, u64::MAX]);
         probes.sort_unstable();
         probes.dedup();
 
@@ -860,26 +408,31 @@ mod tests {
             .filter_map(|(i, k)| map.get(k).map(|&v| (i, v)))
             .collect();
         assert_eq!(hits, expected, "bulk lookup diverged from point lookups");
-        assert!(
-            hits.windows(2).all(|w| w[0].0 < w[1].0),
-            "hits must arrive in ascending batch order"
-        );
-
-        // Empty batches visit nothing and empty maps hit nothing.
         map.get_many(&[], |_, _| panic!("no keys, no calls"));
-        PMap::<u64, u64>::new().get_many(&probes, |_, _| panic!("no entries, no hits"));
     }
 
     #[test]
-    fn clones_share_everything_until_they_diverge() {
-        let mut map: PMap<u64, u64> = PMap::new();
-        for k in 0..1_000u64 {
-            map = map.insert(k, k).0;
+    fn range_respects_bounds_in_both_runs() {
+        let main = PMap::from_sorted((0..10_000u64).step_by(3).map(|k| (k, k)).collect());
+        // Delta entries inside, between and on the edges of main's keys.
+        let map = main.insert_many(&[(101, 0), (102, 0), (121, 0), (20_000, 0)]);
+        let keys = |lo, hi| -> Vec<u64> { map.range(&lo, &hi).map(|(k, _)| *k).collect() };
+        assert_eq!(
+            keys(100, 121),
+            [101, 102, 105, 108, 111, 114, 117, 120, 121]
+        );
+        assert_eq!(
+            map.range(&102, &102).map(|(_, v)| *v).collect::<Vec<_>>(),
+            [0]
+        );
+        assert_eq!(keys(102, 108), [102, 105, 108]);
+        assert_eq!(keys(20_000, 20_000), [20_000]);
+        // Inverted and out-of-range bounds are empty.
+        for (lo, hi) in [(50, 40), (121, 101), (20_001, 30_000)] {
+            assert_eq!(keys(lo, hi), [], "[{lo}, {hi}]");
         }
-        let fork = map.clone();
-        assert_eq!(map.leaf_ptrs(), fork.leaf_ptrs());
-        let (fork, _) = fork.insert(1, 100);
-        assert_eq!(map.get(&1), Some(&1));
-        assert_eq!(fork.get(&1), Some(&100));
+        // Full-range iteration equals `iter`, one entry per key.
+        assert_eq!(map.range(&0, &u64::MAX).count(), map.iter().count());
+        assert_eq!(map.iter().count(), map.len());
     }
 }

@@ -9,10 +9,11 @@
 //!
 //! A shard snapshot ([`ShardSnapshot`]) is a pair: a big immutable base
 //! index plus a small sorted *overlay* of pending upserts and tombstones,
-//! held in the persistent structurally shared map [`crate::pmap::PMap`]. A
-//! point write path-copies the overlay chunks on its key's root-to-leaf
-//! path — O(log `overlay_capacity` + chunk) — and never touches the base. A
-//! published snapshot's overlay holds at most
+//! held in the persistent two-run map [`crate::pmap::PMap`]. A write copies
+//! the overlay's small delta run with its keys merged in and shares the main
+//! run, merging the two only when the delta outgrows ≈ 4√n of n entries —
+//! O(√`overlay_capacity`) sequential copying per write, amortised — and
+//! never touches the base. A published snapshot's overlay holds at most
 //! [`ShardingConfig::overlay_capacity`] entries: the write that would grow
 //! it to `capacity + 1` instead *folds* the overlay into a fresh base — by
 //! cloning the base and replaying the upserts when there are no tombstones
@@ -326,10 +327,10 @@ impl<I: LearnedIndex> ShardSnapshot<I> {
     }
 
     /// Batched [`ShardSnapshot::get`]: `out[i]` is what `get(keys[i])`
-    /// returns. The overlay is probed per key — it is small and its chunks
-    /// stay hot across a batch — and each block's overlay misses go to the
-    /// base index together, so its [`LearnedIndex::get_many`] can walk them
-    /// in lockstep.
+    /// returns. The overlay is probed per key — it is small and its two
+    /// runs stay hot across a batch — and each block's overlay misses go to
+    /// the base index together, so its [`LearnedIndex::get_many`] can walk
+    /// them in lockstep.
     pub(crate) fn get_many(&self, keys: &[Key], out: &mut [Option<Value>]) {
         if self.overlay.is_empty() {
             return self.base.get_many(keys, out);
@@ -576,7 +577,7 @@ impl<I: LearnedIndex> ReadView<I> {
     /// predictions for the whole batch first, then resolve) applied at the
     /// shard level: phase 1 routes every key to its shard in one pass over
     /// the batch, phase 2 resolves shard by shard through
-    /// `ShardSnapshot::get_many`, so each shard's overlay chunks are probed
+    /// `ShardSnapshot::get_many`, so each shard's overlay runs are probed
     /// back-to-back and its base index walks the shard's keys in lockstep
     /// ([`LearnedIndex::get_many`]). All lookups observe the same
     /// pinned snapshots — `multi_get` is equivalent to `keys.map(get)` on
@@ -879,9 +880,9 @@ impl<I: SnapshotIndex + RangeIndex> ShardedIndex<I> {
     /// Inserts or overwrites a record. Returns `true` when the key was new.
     ///
     /// Takes the owning shard's writer mutex (invisible to readers),
-    /// path-copies its overlay with the upsert applied, and publishes one
-    /// snapshot; when the overlay is full it is first folded into a fresh
-    /// base (see [`ShardingConfig::overlay_capacity`]).
+    /// copies its overlay's delta run with the upsert applied, and
+    /// publishes one snapshot; when the overlay is full it is first folded
+    /// into a fresh base (see [`ShardingConfig::overlay_capacity`]).
     pub fn insert(&self, key: Key, value: Value) -> bool {
         self.write_slot(key, Some(value)).is_none()
     }
@@ -1338,8 +1339,8 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
     ///
     /// * the batch is shard-partitioned with the same routing pass
     ///   [`ShardedIndex::multi_get`] uses;
-    /// * each shard's slice lands on the overlay in a **single** bulk
-    ///   chunk-tree ingest;
+    /// * each shard's slice lands on the overlay in a **single** merge
+    ///   into one copy of its delta run ([`PMap::insert_many`]);
     /// * each touched shard publishes **one** successor snapshot — one
     ///   `Arc` allocation and one RCU grace period for the whole slice;
     /// * a durability sink receives **one** [`DurabilitySink::log_writes`]
@@ -1431,12 +1432,13 @@ impl<I: SnapshotIndex + RangeIndex + RemovableIndex> ShardedIndex<I> {
     /// caller.
     ///
     /// The slice's overlay slots are prefetched in **one** bulk
-    /// [`PMap::get_many`] pass (each overlay chunk is visited once for the
-    /// whole slice, not once per op), staged writes live in a flat sorted
-    /// key/slot pair of vectors, and every per-op scalar — previous value,
-    /// tombstone and length deltas, structural effect, projected overlay
-    /// length — is tracked exactly as sequential point-wise application
-    /// would have published it. When the projected overlay crosses the
+    /// [`PMap::get_many`] pass (one forward sweep over each overlay run for
+    /// the slice's sorted keys, each probe searching only the suffix the
+    /// previous one left), staged writes live in a flat sorted key/slot
+    /// pair of vectors, and every per-op scalar — previous value, tombstone
+    /// and length deltas, structural effect, projected overlay length — is
+    /// tracked exactly as sequential point-wise application would have
+    /// published it. When the projected overlay crosses the
     /// capacity mid-slice, the staged writes are folded into a fresh base
     /// *at that op* (same fold boundary, same checkpoint seed as the point
     /// path, with `absorbed` covering every staged-but-unlogged write), and
@@ -1755,6 +1757,17 @@ impl<I: LearnedIndex> ShardedIndex<I> {
             .shards
             .iter()
             .map(|s| s.snap.read(|snap| snap.overlay.len()))
+            .collect()
+    }
+
+    /// Test hook: per-shard published-overlay delta-run lengths (a drop
+    /// marks a spill into the main run).
+    fn overlay_delta_lens(&self) -> Vec<usize> {
+        let layout = self.layout.load();
+        layout
+            .shards
+            .iter()
+            .map(|s| s.snap.read(|snap| snap.overlay.delta_len()))
             .collect()
     }
 
@@ -2696,17 +2709,17 @@ mod tests {
         }
     }
 
-    /// Path copying never mutates a chunk a reader shares: a view pinned
+    /// Publications never mutate a run a reader shares: a view pinned
     /// over dirty overlays keeps returning exactly its pin-time contents
-    /// while later writes overwrite and tombstone the very keys it
-    /// buffers, fold every shard many times over, and split and merge
-    /// the layout.
+    /// while later writes spill the pinned overlay's delta into its main
+    /// run, overwrite and tombstone the very keys it buffers, fold every
+    /// shard many times over, and split and merge the layout.
     #[test]
     fn pinned_view_outlives_later_publications() {
         let keys = Dataset::Osm.generate(4_000, 61);
         let records = identity_records(&keys);
         let sharded =
-            ShardedIndex::<BPlusTree>::bulk_load(&records, config(3).with_overlay_capacity(16));
+            ShardedIndex::<BPlusTree>::bulk_load(&records, config(3).with_overlay_capacity(96));
         let mut oracle: BTreeMap<Key, Value> = keys.iter().map(|&k| (k, k)).collect();
         // Dirty every overlay (upserts and tombstones) before pinning.
         for &k in keys.iter().step_by(400) {
@@ -2723,6 +2736,21 @@ mod tests {
         let pinned: Vec<KeyValue> = oracle.iter().map(|(&k, &v)| KeyValue::new(k, v)).collect();
         assert_eq!(view.range(0, Key::MAX), pinned);
 
+        // Fresh keys below the first key all route to shard 0: its pinned
+        // overlay's delta spills into main at least twice before it folds.
+        assert!(keys[0] > 1_000);
+        let (mut spills, mut fresh) = (0, keys[0]);
+        loop {
+            let (delta, overlay) = (sharded.overlay_delta_lens()[0], sharded.overlay_lens()[0]);
+            fresh -= 1;
+            sharded.insert(fresh, fresh);
+            if sharded.overlay_lens()[0] < overlay {
+                break;
+            }
+            spills += usize::from(sharded.overlay_delta_lens()[0] < delta);
+        }
+        assert!(spills >= 2, "{spills} spills before the fold");
+
         let top = *keys.last().unwrap();
         for round in 0..6u64 {
             // Overwrite and tombstone the buffered keys, then write more
@@ -2736,7 +2764,7 @@ mod tests {
             for &k in keys.iter().step_by(400) {
                 sharded.remove(k);
             }
-            for &k in keys.iter().step_by(97) {
+            for &k in keys.iter().skip(round as usize).step_by(13) {
                 sharded.insert(k, round);
             }
             for i in 0..40u64 {

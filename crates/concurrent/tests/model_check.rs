@@ -13,8 +13,8 @@
 //!
 //! * a reader never dereferences a reclaimed value (grace periods work),
 //! * handles pinned across publications stay alive until released,
-//! * a publication never changes what a pinned view reads (path copying
-//!   never mutates an overlay chunk a reader shares),
+//! * a publication never changes what a pinned view reads (a write copies
+//!   the overlay run it changes and never mutates one a reader shares),
 //! * a group-committed batch publishes atomically (a pinned view sees all
 //!   of it or none of it), across the overlay fold boundary too,
 //! * a write observed by any reader was already logged to the durability
@@ -236,12 +236,12 @@ fn exhaustive_drop_with_held_handles() {
     );
 }
 
-/// Publications never change a pinned view. Every write path-copies the
-/// overlay chunks on its key's root-to-leaf path and shares the rest with
-/// the displaced snapshot, so a reader that pinned that snapshot shares
-/// chunks with every successor: the successors' copies must never write
-/// into a chunk the pinned view reads, whether they add a key beside a
-/// pinned one, overwrite a pinned key or tombstone it.
+/// Publications never change a pinned view. Every write copies the
+/// overlay's delta run (and, at a spill, builds a new main run) and shares
+/// the rest with the displaced snapshot, so a reader that pinned that
+/// snapshot shares runs with every successor: the successors' copies must
+/// never write into a run the pinned view reads, whether they add a key
+/// beside a pinned one, overwrite a pinned key or tombstone it.
 #[test]
 fn randomized_publications_never_change_a_pinned_view() {
     let opts = csv_check::Random {

@@ -22,8 +22,9 @@
 //!    almost certainly a write acknowledged to readers before it could be
 //!    recovered.
 //! 5. **No libm rounding on a lookup path.** Non-test code of the index
-//!    crates (`crates/{lipp,alex,sali,pgm,btree}/src`) and of the model modules
-//!    (`csv_common::{linear,quadratic,pla}`) may not call `.round()`,
+//!    crates (`crates/{lipp,alex,sali,pgm,btree}/src`), of the model modules
+//!    (`csv_common::{linear,quadratic,pla}`) and of the overlay map every
+//!    served lookup probes (`csv_concurrent::pmap`) may not call `.round()`,
 //!    `.floor()`, `.ceil()` or `.trunc()`: on the portable x86-64 baseline
 //!    each is a call into libm through the PLT, and `round` cost a quarter
 //!    of every lookup unnoticed for thirteen PRs. Slots come from
@@ -78,6 +79,7 @@ const NO_LIBM_ROUNDING: &[&str] = &[
     "crates/common/src/linear.rs",
     "crates/common/src/quadratic.rs",
     "crates/common/src/pla.rs",
+    "crates/concurrent/src/pmap.rs",
 ];
 
 /// The float methods that lower to libm calls on baseline x86-64.

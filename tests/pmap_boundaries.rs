@@ -1,13 +1,14 @@
-//! Property tests pinning [`PMap`]'s node-capacity boundaries against a
-//! `BTreeMap` oracle: sequences sized to land exactly on the leaf split
-//! point (`MAX_CHUNK`), the inner-node split point
-//! (`MAX_CHUNK × MAX_FANOUT`), and the underflow path back down — the
-//! off-by-one territory where a persistent chunk tree actually breaks.
+//! Property tests pinning [`PMap`]'s spill boundary against a `BTreeMap`
+//! oracle: write sequences sized to leave the delta run one entry below,
+//! exactly at, and one entry past [`delta_bound`] over main runs of 0, 1,
+//! `delta_bound(0)` and 4096 entries, overwrites of main keys interleaved
+//! with new keys — the off-by-one territory where a two-run map actually
+//! breaks (a lost overwrite, a double-counted key, a spill one write late).
 
-use csv_concurrent::pmap::{PMap, MAX_CHUNK, MAX_FANOUT};
+use csv_concurrent::pmap::{delta_bound, PMap};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Verifies `map` against `oracle` exhaustively: length, ordered iteration,
 /// point lookups (hits and misses around every present key) and range
@@ -35,89 +36,146 @@ fn assert_matches_oracle(map: &PMap<u64, u64>, oracle: &BTreeMap<u64, u64>) {
     }
 }
 
-/// Key-count strategies pinned to the structural boundaries: one below,
-/// at, and above the leaf split; a full two-level tree; one key past the
-/// inner-node split.
-fn boundary_len() -> impl Strategy<Value = usize> {
-    (0usize..7).prop_map(|pick| match pick {
-        0 => MAX_CHUNK - 1,
-        1 => MAX_CHUNK,
-        2 => MAX_CHUNK + 1,
-        3 => 2 * MAX_CHUNK,
-        4 => MAX_CHUNK * MAX_FANOUT,
-        5 => MAX_CHUNK * MAX_FANOUT + 1,
-        _ => MAX_CHUNK * (MAX_FANOUT + 2),
-    })
+/// Main-run sizes pinned to the edges: empty, a single entry, the bound's
+/// floor, and a typical full overlay.
+fn main_len() -> impl Strategy<Value = usize> {
+    (0usize..4).prop_map(|pick| [0, 1, delta_bound(0), 4_096][pick])
+}
+
+/// The delta-run model: which keys the map's delta must hold, given the
+/// spill rule — a publication that grows the delta past the bound of the
+/// current main run merges everything into a new main run.
+struct DeltaModel {
+    delta: BTreeSet<u64>,
+    main_len: usize,
+}
+
+impl DeltaModel {
+    fn publish(&mut self, keys: impl IntoIterator<Item = u64>, oracle_len: usize) {
+        self.delta.extend(keys);
+        if self.delta.len() > delta_bound(self.main_len) {
+            self.delta.clear();
+            self.main_len = oracle_len;
+        }
+    }
+}
+
+/// A main run of `len` keys at even multiples of `stride` above `seed`, so
+/// new keys can land between any two of them.
+fn seeded_main(len: usize, seed: u64, stride: u64) -> (PMap<u64, u64>, BTreeMap<u64, u64>) {
+    let oracle: BTreeMap<u64, u64> = (0..len as u64)
+        .map(|i| (seed + 2 * i * stride, i))
+        .collect();
+    let map = PMap::from_sorted(oracle.iter().map(|(&k, &v)| (k, v)).collect());
+    (map, oracle)
+}
+
+/// The `w`-th write of a boundary sequence: every `every`-th write
+/// overwrites a main key (walking the main run), the rest add new keys
+/// between and beyond the main keys.
+fn write_key(w: usize, every: usize, main_len: usize, seed: u64, stride: u64) -> u64 {
+    if main_len > 0 && w.is_multiple_of(every) {
+        seed + 2 * ((w / every) % main_len) as u64 * stride
+    } else {
+        seed + (2 * w as u64 + 1) * stride
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Grow a map to exactly a boundary size, then drain it back through
-    /// the boundary one key at a time, checking the full contract at every
-    /// step near the edge.
+    /// Point writes sized to the bound −1 / at / +1 over each main size:
+    /// the map matches the oracle after every write near the edge, the
+    /// delta run holds exactly the model's keys, and the predecessor of
+    /// every write is untouched.
     #[test]
-    fn split_and_underflow_boundaries_match_the_oracle(
-        len in boundary_len(),
+    fn point_writes_at_the_spill_boundary_match_the_oracle(
+        main in main_len(),
+        over in 0usize..3,
+        every in 2usize..5,
         stride in 1u64..5,
         seed in 0u64..1_000,
     ) {
-        let mut map = PMap::new();
-        let mut oracle = BTreeMap::new();
-        // Insert with a stride so leaves split on non-contiguous keys too.
-        for i in 0..len as u64 {
-            let key = seed + i * stride;
-            let (next, previous) = map.insert(key, i);
-            prop_assert_eq!(previous, oracle.insert(key, i));
+        let (mut map, mut oracle) = seeded_main(main, seed, stride);
+        let mut model = DeltaModel { delta: BTreeSet::new(), main_len: main };
+        let writes = delta_bound(main) - 1 + over;
+        for w in 0..writes {
+            let key = write_key(w, every, main, seed, stride);
+            let value = 10_000 + w as u64;
+            let before = map.clone();
+            let before_value = before.get(&key).copied();
+            let (next, previous) = map.insert(key, value);
+            prop_assert_eq!(previous, oracle.insert(key, value));
+            model.publish([key], oracle.len());
+            prop_assert_eq!(next.delta_len(), model.delta.len(), "write {}", w);
+            prop_assert_eq!(before.get(&key).copied(), before_value);
             map = next;
-        }
-        assert_matches_oracle(&map, &oracle);
-        // Overwrites at a full boundary must not split anything.
-        let before = map.len();
-        for i in (0..len as u64).step_by(MAX_CHUNK) {
-            let key = seed + i * stride;
-            let (next, previous) = map.insert(key, i + 1);
-            prop_assert_eq!(previous, oracle.insert(key, i + 1));
-            map = next;
-        }
-        prop_assert_eq!(map.len(), before);
-        // Drain back down through the underflow/merge path.
-        let keys: Vec<u64> = oracle.keys().copied().collect();
-        for (drained, key) in keys.iter().enumerate() {
-            let (next, removed) = map.remove(key);
-            prop_assert_eq!(removed.is_some(), oracle.remove(key).is_some());
-            map = next;
-            // Checking every step is quadratic; check exhaustively near
-            // the boundaries and spot-check elsewhere.
-            let remaining = keys.len() - drained - 1;
-            if remaining % MAX_CHUNK < 2 || remaining < 2 * MAX_CHUNK {
+            if writes - w <= 3 {
                 assert_matches_oracle(&map, &oracle);
             }
         }
-        prop_assert!(map.is_empty());
-        // Removing from the empty map stays well-behaved.
-        let (map, removed) = map.remove(&seed);
-        prop_assert_eq!(removed, None);
-        prop_assert_eq!(map.len(), 0);
+        // The delta run spilled iff the sequence wrote more distinct keys
+        // than the bound (the last write is the only one that can).
+        let distinct: BTreeSet<u64> =
+            (0..writes).map(|w| write_key(w, every, main, seed, stride)).collect();
+        prop_assert_eq!(map.delta_len() == 0, distinct.len() > delta_bound(main));
+        assert_matches_oracle(&map, &oracle);
     }
 
-    /// Random interleaved upserts/removes whose key universe is sized to
-    /// hover around the split boundary, so the same chunk repeatedly
-    /// splits and un-splits. Persistence check rides along: the previous
-    /// version must be unaffected by the next op.
+    /// The same sequences published as sorted batches of random sizes:
+    /// `insert_many` spills exactly when the merged delta passes the bound,
+    /// and a map built from the oracle's contents as one main run reads the
+    /// same.
+    #[test]
+    fn batched_writes_at_the_spill_boundary_match_the_oracle(
+        main in main_len(),
+        over in 0usize..3,
+        every in 2usize..5,
+        cuts in pvec(1usize..40, 1..40),
+        seed in 0u64..1_000,
+    ) {
+        let (mut map, mut oracle) = seeded_main(main, seed, 3);
+        let mut model = DeltaModel { delta: BTreeSet::new(), main_len: main };
+        let writes: Vec<(u64, u64)> = (0..delta_bound(main) - 1 + over)
+            .map(|w| (write_key(w, every, main, seed, 3), 10_000 + w as u64))
+            .collect();
+        let mut rest = &writes[..];
+        for &cut in cuts.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (now, later) = rest.split_at(cut.min(rest.len()));
+            rest = later;
+            // A batch is sorted and de-duplicated; its last write of a key wins.
+            let batch: BTreeMap<u64, u64> = now.iter().copied().collect();
+            let batch: Vec<(u64, u64)> = batch.into_iter().collect();
+            map = map.insert_many(&batch);
+            oracle.extend(batch.iter().copied());
+            model.publish(batch.iter().map(|&(k, _)| k), oracle.len());
+            prop_assert_eq!(map.delta_len(), model.delta.len());
+            assert_matches_oracle(&map, &oracle);
+        }
+        let rebuilt = PMap::from_sorted(oracle.iter().map(|(&k, &v)| (k, v)).collect());
+        prop_assert_eq!(rebuilt.delta_len(), 0);
+        assert_matches_oracle(&rebuilt, &oracle);
+    }
+
+    /// Random interleaved upserts and lookups over a key universe sized to
+    /// the bound, so the delta run repeatedly fills and spills. Persistence
+    /// check rides along: the previous version must be unaffected by the
+    /// next op.
     #[test]
     fn interleaved_ops_at_the_boundary_match_the_oracle(
-        ops in pvec((0u64..(2 * MAX_CHUNK as u64), 0u8..4), 1..300),
+        ops in pvec((0u64..(3 * delta_bound(0) as u64), 0u8..4), 1..300),
     ) {
         let mut map = PMap::new();
         let mut oracle = BTreeMap::new();
         for (i, &(key, kind)) in ops.iter().enumerate() {
             let before = map.clone();
             let before_len = before.len();
+            let before_value = before.get(&key).copied();
             if kind == 0 {
-                let (next, removed) = map.remove(&key);
-                prop_assert_eq!(removed, oracle.remove(&key));
-                map = next;
+                prop_assert_eq!(map.get(&key), oracle.get(&key));
             } else {
                 let value = i as u64;
                 let (next, previous) = map.insert(key, value);
@@ -127,8 +185,33 @@ proptest! {
             // The pre-op version is immutable: same length, and the
             // touched key still reads its old value (or absence).
             prop_assert_eq!(before.len(), before_len);
+            prop_assert_eq!(before.get(&key).copied(), before_value);
             prop_assert_eq!(map.len(), oracle.len());
         }
         assert_matches_oracle(&map, &oracle);
+    }
+
+    /// `get_many` at the spill edge: with the delta run one below, at and
+    /// one past the bound, a sorted probe batch covering every written key,
+    /// every main key and the gaps between them gets exactly what per-key
+    /// `get` gets, hits from either run and misses alike.
+    #[test]
+    fn get_many_at_the_spill_boundary_matches_get(
+        main in main_len(),
+        over in 0usize..3,
+        every in 2usize..5,
+        seed in 0u64..1_000,
+    ) {
+        let (mut map, _) = seeded_main(main, seed, 2);
+        let writes = delta_bound(main) - 1 + over;
+        for w in 0..writes {
+            map = map.insert(write_key(w, every, main, seed, 2), 10_000 + w as u64).0;
+        }
+        let top = seed + 2 * 2 * (main.max(writes) as u64 + 1);
+        let probes: Vec<u64> = (0..=top).collect();
+        let mut got = vec![None; probes.len()];
+        map.get_many(&probes, |i, v| got[i] = Some(*v));
+        let want: Vec<Option<u64>> = probes.iter().map(|k| map.get(k).copied()).collect();
+        prop_assert_eq!(got, want);
     }
 }
