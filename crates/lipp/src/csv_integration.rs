@@ -7,7 +7,7 @@
 //! that both keep the model accurate and absorb future inserts.
 
 use crate::index::LippIndex;
-use crate::node::Slot;
+use crate::node::{Node, Tag};
 use csv_common::{Key, KeyValue};
 use csv_core::cost::SubtreeCostStats;
 use csv_core::csv::{CsvIntegrable, RebuildRefusal, SubtreeRef};
@@ -18,27 +18,44 @@ impl LippIndex {
         // Mean depth of Data slots relative to the sub-tree root (depth 1).
         let mut total = 0usize;
         let mut count = 0usize;
-        let base_level = self.nodes[node_id].level;
+        let base_level = self.nodes[node_id].level();
         let mut stack = vec![node_id];
         while let Some(id) = stack.pop() {
             let node = &self.nodes[id];
-            let depth = node.level - base_level + 1;
-            for slot in &node.slots {
-                match slot {
-                    Slot::Data(_, _) => {
-                        total += depth;
-                        count += 1;
-                    }
-                    Slot::Child(c) => stack.push(*c),
-                    Slot::Empty => {}
-                }
-            }
+            let depth = node.level() - base_level + 1;
+            let local = node.local_keys();
+            total += depth * local;
+            count += local;
+            stack.extend(node.children());
         }
         if count == 0 {
             0.0
         } else {
             total as f64 / count as f64
         }
+    }
+
+    /// The nodes at `level` that have children and pass `keep`, in
+    /// [`LippIndex::node_views`] order. A child is one level below its
+    /// parent, so the walk never reads a node below `level`, and pruning
+    /// whole sub-trees from a depth-first walk keeps the order of the rest.
+    fn subtree_roots_at_level(
+        &self,
+        level: usize,
+        keep: impl Fn(&Node) -> bool,
+    ) -> Vec<SubtreeRef> {
+        let mut roots = Vec::new();
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let node = &self.nodes[id];
+            if node.level() < level {
+                stack.extend(node.children());
+            } else if node.child_count() > 0 && keep(node) {
+                debug_assert_eq!(node.level(), level, "a child is one level below its parent");
+                roots.push(SubtreeRef { node_id: id, level });
+            }
+        }
+        roots
     }
 }
 
@@ -51,14 +68,7 @@ impl CsvIntegrable for LippIndex {
         // Inserts/removes flag every node on their root-to-slot path, so a
         // sub-tree root is dirty iff anything below it changed since the
         // last `csv_mark_clean`.
-        self.node_views()
-            .iter()
-            .filter(|v| v.level == level && v.children > 0 && self.nodes[v.node_id].dirty)
-            .map(|v| SubtreeRef {
-                node_id: v.node_id,
-                level,
-            })
-            .collect()
+        self.subtree_roots_at_level(level, |node| node.dirty)
     }
 
     fn csv_mark_clean(&mut self) {
@@ -70,23 +80,23 @@ impl CsvIntegrable for LippIndex {
     }
 
     fn csv_max_level(&self) -> usize {
-        self.node_views()
-            .iter()
-            .filter(|v| v.children > 0)
-            .map(|v| v.level)
-            .max()
-            .unwrap_or(0)
+        // The deepest level of a node with children, found by reading tag
+        // words only: the walk never touches a record.
+        let mut max_level = 0;
+        let mut stack = vec![self.root];
+        while let Some(id) = stack.pop() {
+            let node = &self.nodes[id];
+            let pushed = stack.len();
+            stack.extend(node.children());
+            if stack.len() > pushed {
+                max_level = max_level.max(node.level());
+            }
+        }
+        max_level
     }
 
     fn csv_subtrees_at_level(&self, level: usize) -> Vec<SubtreeRef> {
-        self.node_views()
-            .iter()
-            .filter(|v| v.level == level && v.children > 0)
-            .map(|v| SubtreeRef {
-                node_id: v.node_id,
-                level,
-            })
-            .collect()
+        self.subtree_roots_at_level(level, |_| true)
     }
 
     fn csv_collect_keys_into(&self, subtree: &SubtreeRef, buf: &mut Vec<Key>) {
@@ -97,11 +107,10 @@ impl CsvIntegrable for LippIndex {
         buf.reserve(self.nodes[subtree.node_id].subtree_keys);
         let mut stack = vec![subtree.node_id];
         while let Some(id) = stack.pop() {
-            for slot in &self.nodes[id].slots {
-                match slot {
-                    Slot::Empty => {}
-                    Slot::Data(k, _) => buf.push(*k),
-                    Slot::Child(c) => stack.push(*c),
+            for (tag, entry) in self.nodes[id].occupied() {
+                match tag {
+                    Tag::Data => buf.push(entry.key),
+                    _ => stack.push(entry.child()),
                 }
             }
         }
@@ -128,7 +137,7 @@ impl CsvIntegrable for LippIndex {
             return Err(RebuildRefusal::CapacityExceeded);
         }
         let node_id = subtree.node_id;
-        let level = self.nodes[node_id].level;
+        let level = self.nodes[node_id].level();
         let records = self.collect_records(node_id);
         if records.len() != layout.num_real() {
             // The layout no longer matches the sub-tree contents.
@@ -170,13 +179,13 @@ impl CsvIntegrable for LippIndex {
         let new_depth = self.subtree_mean_depth(temp);
         if new_depth > old_depth + 1e-12 {
             self.free_descendants(temp);
-            self.nodes[temp] = crate::node::Node::empty(1, 0);
+            self.nodes[temp] = Node::empty(1, 0);
             self.reclaim(temp);
             return Err(RebuildRefusal::WouldDemoteKeys);
         }
         self.free_descendants(node_id);
         self.nodes.swap(node_id, temp);
-        self.nodes[temp] = crate::node::Node::empty(1, 0);
+        self.nodes[temp] = Node::empty(1, 0);
         // `temp` now holds a placeholder; hand it back to the allocator.
         self.reclaim(temp);
         Ok(())
@@ -332,6 +341,55 @@ mod tests {
         index.csv_mark_clean();
         assert!(index.insert(deep, deep));
         assert_eq!(index.csv_dirty_subtrees_at_level(2), touched);
+    }
+
+    #[test]
+    fn level_bounded_walks_match_the_whole_tree_views() {
+        use csv_common::traits::RemovableIndex;
+        // What the three statistics walks returned when they filtered a
+        // whole-tree `node_views`: the same sub-trees, in the same order.
+        let views_at = |index: &LippIndex, level: usize, dirty_only: bool| -> Vec<SubtreeRef> {
+            index
+                .node_views()
+                .iter()
+                .filter(|v| v.level == level && v.children > 0)
+                .filter(|v| !dirty_only || index.nodes[v.node_id].dirty)
+                .map(|v| SubtreeRef {
+                    node_id: v.node_id,
+                    level,
+                })
+                .collect()
+        };
+        let keys = hard_keys(12_000);
+        let mut index = LippIndex::bulk_load(&identity_records(&keys));
+        for round in 0..2 {
+            let views = index.node_views();
+            let max_level = views
+                .iter()
+                .filter(|v| v.children > 0)
+                .map(|v| v.level)
+                .max();
+            assert_eq!(index.csv_max_level(), max_level.unwrap_or(0));
+            assert!(
+                index.csv_max_level() >= 2,
+                "round {round}: sub-trees below the root"
+            );
+            for level in 1..=index.csv_max_level() + 1 {
+                assert_eq!(
+                    index.csv_subtrees_at_level(level),
+                    views_at(&index, level, false)
+                );
+                assert_eq!(
+                    index.csv_dirty_subtrees_at_level(level),
+                    views_at(&index, level, true)
+                );
+            }
+            // Then a clean index with a few dirty paths.
+            index.csv_mark_clean();
+            for &k in keys.iter().skip(round).step_by(997) {
+                assert_eq!(index.remove(k), Some(k));
+            }
+        }
     }
 
     #[test]

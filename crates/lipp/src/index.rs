@@ -1,14 +1,14 @@
 //! The LIPP index: bulk loading, precise-position lookups, inserts with
 //! conflict-driven child creation, and adjustment (sub-tree rebuilds).
 
-use crate::node::{LippNodeView, Node, Slot};
+use crate::node::{LippNodeView, Node, Tag};
 use core::ops::ControlFlow;
 use csv_common::metrics::CostCounters;
 use csv_common::traits::{
     IndexStats, LearnedIndex, LevelHistogram, RangeIndex, RemovableIndex, SnapshotIndex,
     LOOKUP_BLOCK,
 };
-use csv_common::{prefetch_read, prefetch_slice_at, Key, KeyValue, LinearModel, Value};
+use csv_common::{prefetch_slice_at, Key, KeyValue, LinearModel, Value};
 
 /// Construction/adjustment parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,23 +88,9 @@ impl LippIndex {
     /// Returns descendant node ids (not including `node_id` itself) to the
     /// free list.
     pub(crate) fn free_descendants(&mut self, node_id: usize) {
-        let mut stack: Vec<usize> = self.nodes[node_id]
-            .slots
-            .iter()
-            .filter_map(|s| {
-                if let Slot::Child(c) = s {
-                    Some(*c)
-                } else {
-                    None
-                }
-            })
-            .collect();
+        let mut stack: Vec<usize> = self.nodes[node_id].children().collect();
         while let Some(id) = stack.pop() {
-            for slot in &self.nodes[id].slots {
-                if let Slot::Child(c) = slot {
-                    stack.push(*c);
-                }
-            }
+            stack.extend(self.nodes[id].children());
             self.nodes[id] = Node::empty(1, 0);
             self.free.push(id);
         }
@@ -121,7 +107,7 @@ impl LippIndex {
             let mut node = Node::empty(self.config.min_capacity, level);
             // A constant model maps every key to slot 0.
             node.model = LinearModel::new(0.0, 0.0);
-            node.slots[0] = Slot::Data(records[0].key, records[0].value);
+            node.set_data(0, records[0].key, records[0].value);
             node.subtree_keys = 1;
             return self.alloc(node);
         }
@@ -191,11 +177,11 @@ impl LippIndex {
         let node_id = self.alloc(node);
         for (slot, start, end) in groups {
             if end - start == 1 {
-                self.nodes[node_id].slots[slot] =
-                    Slot::Data(records[start].key, records[start].value);
+                let record = records[start];
+                self.nodes[node_id].set_data(slot, record.key, record.value);
             } else {
                 let child = self.build_subtree(&records[start..end], level + 1);
-                self.nodes[node_id].slots[slot] = Slot::Child(child);
+                self.nodes[node_id].set_child(slot, child);
             }
         }
         node_id
@@ -221,11 +207,10 @@ impl LippIndex {
     }
 
     fn collect_into(&self, node_id: usize, out: &mut Vec<KeyValue>) {
-        for slot in &self.nodes[node_id].slots {
-            match slot {
-                Slot::Empty => {}
-                Slot::Data(k, v) => out.push(KeyValue::new(*k, *v)),
-                Slot::Child(c) => self.collect_into(*c, out),
+        for (tag, entry) in self.nodes[node_id].occupied() {
+            match tag {
+                Tag::Data => out.push(KeyValue::new(entry.key, entry.word)),
+                _ => self.collect_into(entry.child(), out),
             }
         }
     }
@@ -234,7 +219,7 @@ impl LippIndex {
     /// records (the adjustment step triggered by inserts).
     pub(crate) fn rebuild_in_place(&mut self, node_id: usize) {
         let records = self.collect_records(node_id);
-        let level = self.nodes[node_id].level;
+        let level = self.nodes[node_id].level();
         self.free_descendants(node_id);
         let temp = self.build_subtree(&records, level);
         self.nodes.swap(node_id, temp);
@@ -250,17 +235,13 @@ impl LippIndex {
             let node = &self.nodes[id];
             views.push(LippNodeView {
                 node_id: id,
-                level: node.level,
+                level: node.level(),
                 capacity: node.capacity(),
                 local_keys: node.local_keys(),
                 children: node.child_count(),
                 subtree_keys: node.subtree_keys,
             });
-            for slot in &node.slots {
-                if let Slot::Child(c) = slot {
-                    stack.push(*c);
-                }
-            }
+            stack.extend(node.children());
         }
         views
     }
@@ -293,13 +274,13 @@ impl LearnedIndex for LippIndex {
     }
 
     fn get(&self, key: Key) -> Option<Value> {
-        let mut node_id = self.root;
+        let mut node = &self.nodes[self.root];
         loop {
-            let node = &self.nodes[node_id];
-            match node.slots[node.predict_slot(key)] {
-                Slot::Empty => return None,
-                Slot::Data(k, v) => return if k == key { Some(v) } else { None },
-                Slot::Child(c) => node_id = c,
+            match node.slot(node.predict_slot(key)) {
+                (Tag::Child, entry) => node = &self.nodes[entry.child()],
+                (tag, entry) => {
+                    return (tag == Tag::Data && entry.key == key).then_some(entry.word)
+                }
             }
         }
     }
@@ -310,13 +291,13 @@ impl LearnedIndex for LippIndex {
             counters.nodes_visited += 1;
             counters.model_evals += 1;
             let node = &self.nodes[node_id];
-            match node.slots[node.predict_slot(key)] {
-                Slot::Empty => return None,
-                Slot::Data(k, v) => {
+            match node.slot(node.predict_slot(key)) {
+                (Tag::Empty, _) => return None,
+                (Tag::Data, entry) => {
                     counters.comparisons += 1;
-                    return if k == key { Some(v) } else { None };
+                    return (entry.key == key).then_some(entry.word);
                 }
-                Slot::Child(c) => node_id = c,
+                (Tag::Child, entry) => node_id = entry.child(),
             }
         }
     }
@@ -327,32 +308,35 @@ impl LearnedIndex for LippIndex {
         let inserted = loop {
             path.push(node_id);
             let slot_idx = self.nodes[node_id].predict_slot(key);
-            match self.nodes[node_id].slots[slot_idx] {
-                Slot::Empty => {
-                    self.nodes[node_id].slots[slot_idx] = Slot::Data(key, value);
+            match self.nodes[node_id].slot(slot_idx) {
+                (Tag::Empty, _) => {
+                    self.nodes[node_id].set_data(slot_idx, key, value);
                     break true;
                 }
-                Slot::Data(k, v) => {
-                    if k == key {
-                        self.nodes[node_id].slots[slot_idx] = Slot::Data(key, value);
+                (Tag::Data, entry) => {
+                    if entry.key == key {
+                        self.nodes[node_id].set_data(slot_idx, key, value);
                         break false;
                     }
                     // Conflict: push both records into a new child node.
-                    let level = self.nodes[node_id].level + 1;
-                    let mut pair = [KeyValue::new(k, v), KeyValue::new(key, value)];
+                    let level = self.nodes[node_id].level() + 1;
+                    let mut pair = [
+                        KeyValue::new(entry.key, entry.word),
+                        KeyValue::new(key, value),
+                    ];
                     pair.sort_unstable_by_key(|r| r.key);
                     let child = self.build_subtree(&pair, level);
-                    self.nodes[node_id].slots[slot_idx] = Slot::Child(child);
+                    self.nodes[node_id].set_child(slot_idx, child);
                     break true;
                 }
-                Slot::Child(c) => node_id = c,
+                (Tag::Child, entry) => node_id = entry.child(),
             }
         };
         if inserted {
             self.len += 1;
             for &id in &path {
                 self.nodes[id].subtree_keys += 1;
-                self.nodes[id].inserts_since_build += 1;
+                self.nodes[id].note_insert();
                 // Every node on the path roots a sub-tree that just absorbed
                 // this key: flag them for incremental re-optimisation.
                 self.nodes[id].dirty = true;
@@ -362,7 +346,7 @@ impl LearnedIndex for LippIndex {
             for &id in path.iter().skip(1) {
                 let node = &self.nodes[id];
                 if node.subtree_keys >= self.config.adjust_min_keys
-                    && node.inserts_since_build * 2 > node.subtree_keys
+                    && node.inserts_since_build() * 2 > node.subtree_keys
                 {
                     self.rebuild_in_place(id);
                     break;
@@ -389,19 +373,15 @@ impl LearnedIndex for LippIndex {
             let node = &self.nodes[id];
             node_count += 1;
             size_bytes += node.size_bytes();
-            height = height.max(node.level);
-            if node.level >= 3 {
+            height = height.max(node.level());
+            if node.level() >= 3 {
                 deep_node_count += 1;
             }
             let local = node.local_keys();
             if local > 0 {
-                histogram.record(node.level, local);
+                histogram.record(node.level(), local);
             }
-            for slot in &node.slots {
-                if let Slot::Child(c) = slot {
-                    stack.push(*c);
-                }
-            }
+            stack.extend(node.children());
         }
         IndexStats {
             level_histogram: histogram,
@@ -417,10 +397,10 @@ impl LearnedIndex for LippIndex {
         let mut node_id = self.root;
         loop {
             let node = &self.nodes[node_id];
-            match node.slots[node.predict_slot(key)] {
-                Slot::Empty => return None,
-                Slot::Data(k, _) => return if k == key { Some(node.level) } else { None },
-                Slot::Child(c) => node_id = c,
+            match node.slot(node.predict_slot(key)) {
+                (Tag::Empty, _) => return None,
+                (Tag::Data, entry) => return (entry.key == key).then_some(node.level()),
+                (Tag::Child, entry) => node_id = entry.child(),
             }
         }
     }
@@ -441,37 +421,37 @@ impl LippIndex {
     /// One lockstep block of [`LearnedIndex::get_many`], at most
     /// [`LOOKUP_BLOCK`] keys. Each round takes every live key one level down:
     /// pass 1 predicts the key's slot in the node it stands on and prefetches
-    /// it, pass 2 reads the slots — a record or an empty slot finishes the
-    /// key, a child moves it there and prefetches the child's header — and
-    /// compacts the live keys to the front.
+    /// the slot's entry and tag word, pass 2 reads them — a record or an
+    /// empty slot finishes the key, a child moves it there and prefetches the
+    /// child's header — and compacts the live keys to the front.
     fn get_block(&self, keys: &[Key], out: &mut [Option<Value>]) {
-        const VACANT: Slot = Slot::Empty;
         // Per live key: its position in the block, the node it stands on and
         // the slot it reads this round.
         let mut pos = [0usize; LOOKUP_BLOCK];
-        let mut node_id = [self.root; LOOKUP_BLOCK];
-        let mut slot = [&VACANT; LOOKUP_BLOCK];
+        let mut node = [&self.nodes[self.root]; LOOKUP_BLOCK];
+        let mut slot = [0usize; LOOKUP_BLOCK];
         let mut live = keys.len();
         for (i, pos) in pos[..live].iter_mut().enumerate() {
             *pos = i;
         }
         while live > 0 {
             for j in 0..live {
-                let node = &self.nodes[node_id[j]];
-                slot[j] = &node.slots[node.predict_slot(keys[pos[j]])];
-                prefetch_read(slot[j]);
+                slot[j] = node[j].predict_slot(keys[pos[j]]);
+                node[j].prefetch(slot[j]);
             }
             let mut kept = 0;
             for j in 0..live {
                 let i = pos[j];
-                match *slot[j] {
-                    Slot::Empty => out[i] = None,
-                    Slot::Data(k, v) => out[i] = (k == keys[i]).then_some(v),
-                    Slot::Child(c) => {
+                match node[j].slot(slot[j]) {
+                    (Tag::Child, entry) => {
+                        let c = entry.child();
                         prefetch_slice_at(&self.nodes, c);
                         pos[kept] = i;
-                        node_id[kept] = c;
+                        node[kept] = &self.nodes[c];
                         kept += 1;
+                    }
+                    (tag, entry) => {
+                        out[i] = (tag == Tag::Data && entry.key == keys[i]).then_some(entry.word);
                     }
                 }
             }
@@ -495,19 +475,17 @@ impl LippIndex {
         f: &mut dyn FnMut(Key, Value) -> ControlFlow<()>,
     ) -> ControlFlow<bool> {
         let node = &self.nodes[node_id];
-        let start = node.predict_slot(lo);
-        for slot in &node.slots[start..] {
-            match slot {
-                Slot::Empty => {}
-                Slot::Data(k, v) => {
-                    if *k > hi {
+        for (tag, entry) in node.occupied_from(node.predict_slot(lo)) {
+            match tag {
+                Tag::Data => {
+                    if entry.key > hi {
                         return ControlFlow::Break(false);
                     }
-                    if *k >= lo && f(*k, *v).is_break() {
+                    if entry.key >= lo && f(entry.key, entry.word).is_break() {
                         return ControlFlow::Break(true);
                     }
                 }
-                Slot::Child(c) => self.visit_node(*c, lo, hi, f)?,
+                _ => self.visit_node(entry.child(), lo, hi, f)?,
             }
         }
         ControlFlow::Continue(())
@@ -541,10 +519,11 @@ impl RangeIndex for LippIndex {
 }
 
 /// Snapshot audit: `derive(Clone)` deep-copies the `nodes` arena (every
-/// node owns its model and slot `Vec`s), the free list and the scalar
-/// metadata. The clone shares nothing with the original — no `Rc`, no
-/// interior mutability — so mutating a clone never perturbs concurrent
-/// readers of the source, and the cost is O(slots) straight `memcpy`s.
+/// node owns its model and one boxed buffer of entries and tag words), the
+/// free list and the scalar metadata. The clone shares nothing with the
+/// original — no `Rc`, no interior mutability — so mutating a clone never
+/// perturbs concurrent readers of the source, and the cost is one
+/// allocation and one straight `memcpy` per node.
 impl SnapshotIndex for LippIndex {}
 
 impl RemovableIndex for LippIndex {
@@ -558,16 +537,16 @@ impl RemovableIndex for LippIndex {
         let removed = loop {
             path.push(node_id);
             let slot_idx = self.nodes[node_id].predict_slot(key);
-            match self.nodes[node_id].slots[slot_idx] {
-                Slot::Empty => break None,
-                Slot::Data(k, v) => {
-                    if k == key {
-                        self.nodes[node_id].slots[slot_idx] = Slot::Empty;
-                        break Some(v);
+            match self.nodes[node_id].slot(slot_idx) {
+                (Tag::Empty, _) => break None,
+                (Tag::Data, entry) => {
+                    if entry.key == key {
+                        self.nodes[node_id].clear(slot_idx);
+                        break Some(entry.word);
                     }
                     break None;
                 }
-                Slot::Child(c) => node_id = c,
+                (Tag::Child, entry) => node_id = entry.child(),
             }
         };
         if removed.is_some() {
@@ -670,7 +649,7 @@ mod tests {
         assert_eq!(stats.num_keys, keys.len());
         assert_eq!(stats.height, index.height());
         assert!(stats.node_count >= 1);
-        assert!(stats.size_bytes > keys.len() * std::mem::size_of::<Slot>());
+        assert!(stats.size_bytes > keys.len() * std::mem::size_of::<crate::node::Entry>());
         // Deep keys exist for this skewed distribution.
         assert!(stats.level_histogram.max_level() >= 2);
         // level_of_key agrees with the histogram's support.
@@ -836,6 +815,147 @@ mod tests {
         assert_eq!(index.remove(3), None);
         // A clone (every overlay fold starts with one) copies no stale path.
         assert!(index.path.is_empty() && index.path.capacity() > 0);
+    }
+
+    /// What slot `s` of a tag-word test root holds; `rotation` shifts the
+    /// pattern so that, over three rotations, every slot at every word
+    /// boundary holds each kind.
+    fn tag_word_kind(s: usize, rotation: usize) -> Tag {
+        [Tag::Data, Tag::Child, Tag::Empty][(s + rotation) % 3]
+    }
+
+    /// An index whose root has `capacity` slots, slot `s` taking the keys
+    /// `1000·s … 1000·s + 499`: a `Data` slot holds `1000·s + 200`, a
+    /// `Child` slot a two-record child with `1000·s + 100` and
+    /// `1000·s + 300`. Returns the index and its stored keys, ascending.
+    fn tag_word_index(capacity: usize, rotation: usize) -> (LippIndex, Vec<Key>) {
+        let mut index = LippIndex::bulk_load(&[]);
+        let mut root = Node::empty(capacity, 1);
+        root.model = LinearModel::new(0.001, 0.0);
+        let mut keys = Vec::new();
+        for s in 0..capacity {
+            let base = 1000 * s as Key;
+            match tag_word_kind(s, rotation) {
+                Tag::Data => {
+                    root.set_data(s, base + 200, base + 200);
+                    keys.push(base + 200);
+                }
+                Tag::Child => {
+                    let pair = identity_records(&[base + 100, base + 300]);
+                    root.set_child(s, index.build_subtree(&pair, 2));
+                    keys.extend([base + 100, base + 300]);
+                }
+                Tag::Empty => {}
+            }
+        }
+        root.subtree_keys = keys.len();
+        index.nodes[index.root] = root;
+        index.len = keys.len();
+        (index, keys)
+    }
+
+    /// The capacities around one and two tag words, each with every
+    /// rotation of the slot pattern.
+    fn tag_word_cases() -> impl Iterator<Item = (usize, usize)> {
+        [1, 31, 32, 33, 63, 64, 65]
+            .into_iter()
+            .flat_map(|capacity| (0..3).map(move |rotation| (capacity, rotation)))
+    }
+
+    #[test]
+    fn tag_word_boundaries_keep_every_slot_kind() {
+        for (capacity, rotation) in tag_word_cases() {
+            let (index, keys) = tag_word_index(capacity, rotation);
+            let root = &index.nodes[index.root];
+            let kinds: Vec<Tag> = (0..capacity).map(|s| root.tag(s)).collect();
+            let want: Vec<Tag> = (0..capacity).map(|s| tag_word_kind(s, rotation)).collect();
+            assert_eq!(kinds, want, "capacity {capacity}, rotation {rotation}");
+            let count = |tag| want.iter().filter(|&&t| t == tag).count();
+            assert_eq!(root.local_keys(), count(Tag::Data));
+            assert_eq!(root.child_count(), count(Tag::Child));
+            assert_eq!(root.children().count(), count(Tag::Child));
+            assert_eq!(root.occupied().count(), capacity - count(Tag::Empty));
+            assert_eq!(index.stats().level_histogram.total(), keys.len());
+            assert_eq!(index.range(0, Key::MAX).len(), keys.len());
+        }
+    }
+
+    #[test]
+    fn tag_word_lookups_match_the_stored_keys() {
+        for (capacity, rotation) in tag_word_cases() {
+            let (index, keys) = tag_word_index(capacity, rotation);
+            // Every slot's hits and misses: a miss lands on an empty slot, on
+            // another key's record or inside a child.
+            let probes: Vec<Key> = (0..capacity as Key)
+                .flat_map(|s| [50, 100, 200, 250, 300].map(|r| 1000 * s + r))
+                .collect();
+            let expected: Vec<Option<Value>> = probes
+                .iter()
+                .map(|k| keys.binary_search(k).ok().map(|_| *k))
+                .collect();
+            let got: Vec<Option<Value>> = probes.iter().map(|&k| index.get(k)).collect();
+            assert_eq!(got, expected, "get, capacity {capacity}");
+            let mut many = vec![Some(Value::MAX); probes.len()];
+            index.get_many(&probes, &mut many);
+            assert_eq!(many, expected, "get_many, capacity {capacity}");
+        }
+    }
+
+    #[test]
+    fn tag_word_range_walks_start_inside_every_word() {
+        for (capacity, rotation) in tag_word_cases() {
+            let (index, keys) = tag_word_index(capacity, rotation);
+            for s in 0..capacity as Key {
+                for (lo, hi) in [(1000 * s, 1000 * s + 2_999), (1000 * s + 150, Key::MAX)] {
+                    let got: Vec<Key> = index.range(lo, hi).iter().map(|r| r.key).collect();
+                    let want: Vec<Key> = keys
+                        .iter()
+                        .copied()
+                        .filter(|k| (lo..=hi).contains(k))
+                        .collect();
+                    assert_eq!(got, want, "[{lo}, {hi}], capacity {capacity}");
+                }
+                // A visitor that stops after two records stops the walk.
+                let mut seen = Vec::new();
+                let flow = index.range_visit(1000 * s, Key::MAX, &mut |k, _| {
+                    seen.push(k);
+                    if seen.len() == 2 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                let want: Vec<Key> = keys.iter().copied().filter(|&k| k >= 1000 * s).collect();
+                assert_eq!(seen, want[..want.len().min(2)], "capacity {capacity}");
+                assert_eq!(flow.is_break(), want.len() >= 2);
+            }
+        }
+    }
+
+    #[test]
+    fn tag_word_remove_frees_the_slot_for_a_reinsert() {
+        for (capacity, rotation) in tag_word_cases() {
+            let (mut index, keys) = tag_word_index(capacity, rotation);
+            let nodes = index.node_views().len();
+            for &k in &keys {
+                let slot = index.nodes[index.root].predict_slot(k);
+                let level = index.level_of_key(k);
+                assert_eq!(index.remove(k), Some(k));
+                assert_eq!(index.get(k), None);
+                if level == Some(1) {
+                    assert_eq!(index.nodes[index.root].tag(slot), Tag::Empty);
+                }
+                assert!(index.insert(k, k + 1));
+                assert_eq!(index.get(k), Some(k + 1));
+                assert_eq!(index.level_of_key(k), level, "key {k} moved");
+                assert_eq!(
+                    index.nodes[index.root].tag(slot),
+                    tag_word_kind(slot, rotation)
+                );
+            }
+            assert_eq!(index.len(), keys.len());
+            assert_eq!(index.node_views().len(), nodes, "no node was added");
+        }
     }
 
     #[test]

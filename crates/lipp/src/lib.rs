@@ -18,6 +18,12 @@
 //! * the insert-time adjustment strategy rebuilds a sub-tree once the number
 //!   of inserts since its construction exceeds half its size, a simplified
 //!   form of LIPP's conflict/size-ratio trigger.
+//!
+//! The node format is the original's: a slot is a 16-byte entry (a record's
+//! key and value, or a child's id) plus a 2-bit type tag (empty, record or
+//! child), the tags packed 32 to a `u64`. Every virtual point smoothing adds
+//! therefore costs 16 bytes and 2 bits, the storage cost the paper's space
+//! figures assume for LIPP.
 
 #![forbid(unsafe_code)]
 
@@ -26,7 +32,7 @@ mod index;
 mod node;
 
 pub use index::{LippConfig, LippIndex};
-pub use node::{LippNodeView, Slot};
+pub use node::LippNodeView;
 
 #[cfg(test)]
 mod proptests {

@@ -648,5 +648,11 @@ mod tests {
         assert_eq!(stats.level_histogram.total(), keys.len());
         assert!(stats.node_count >= sali.base().stats().node_count);
         assert!(stats.size_bytes > sali.base().stats().size_bytes);
+        let region_bytes: usize = sali.regions.iter().map(|r| r.size_bytes()).sum();
+        assert_eq!(
+            stats.size_bytes,
+            sali.base().stats().size_bytes + region_bytes,
+            "the regions are added to the LIPP base's own size"
+        );
     }
 }

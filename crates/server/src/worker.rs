@@ -34,10 +34,13 @@ use std::sync::mpsc::{Receiver, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long a sweep blocks on one silent connection before moving to the
-/// next. Small enough that a 100-connection worker still visits everyone
-/// ~20×/second even if all are idle; on loopback a busy connection almost
-/// always has bytes ready and never pays it.
+/// How long a sweep asks to block on one silent connection before moving
+/// to the next; on loopback a busy connection almost always has bytes
+/// ready and never pays it. The kernel rounds a timeout this short up to
+/// scheduler ticks: a timed-out read was measured to block ≈ 8 ms, so a
+/// 100-connection worker whose connections are all idle visits each one
+/// about once every 0.8 s, and every silent connection adds ≈ 8 ms to
+/// each request of a busy one (ROADMAP item 23).
 const READ_TIMEOUT: Duration = Duration::from_micros(500);
 
 /// How long an idle worker (no connections at all) naps before polling
